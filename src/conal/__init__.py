@@ -40,7 +40,6 @@ from .qubit import (
     post_norms,
     qubit_positive,
     sandwich,
-    sandwich_compact,
     sqrt_vec,
     square_vec,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "minkowski4",
     "qubit_positive",
     "sandwich",
-    "sandwich_compact",
     "square_vec",
     "sqrt_vec",
     "cross_relations",

@@ -43,7 +43,7 @@ from .serialization import (
     vector_to_obj,
     write_sweep_csv,
 )
-from .tradeoff import pipeline_point, sweep
+from .tradeoff import pipeline_residual, sweep
 from .selftest import run_selftest
 
 
@@ -172,18 +172,11 @@ def _cmd_tradeoff(args) -> int:
         with open(args.out, "w", newline="", encoding="utf-8") as f:
             write_sweep_csv(points, f, extended=args.extended)
     if args.verify:
-        worst = 0.0
-        for pt in points:
-            pipe = pipeline_point(pt.c, pt.beta)
-            worst = max(
-                worst,
-                abs(pipe.info_bits - pt.info_bits),
-                abs(pipe.disturbance - pt.disturbance),
-            )
+        worst, (c, beta) = pipeline_residual(points)
         if worst > args.verify_tol:
             print(
                 f"verification FAILED: worst closed-form/pipeline residual {worst:.3e} "
-                f"exceeds {args.verify_tol:.1e}",
+                f"at c={c:.12g} beta={beta:.12g} exceeds {args.verify_tol:.1e}",
                 file=sys.stderr,
             )
             return 1

@@ -15,6 +15,9 @@ __all__ = [
 #: Eigenvalues above this (negative) floor count as zero in PSD checks.
 DEFAULT_PSD_TOL = 1e-10
 
+#: Probabilities at or below this count as zero: the outcome has no rescaled state.
+PROBABILITY_FLOOR = 1e-12
+
 #: Largest tolerated deviation from hermiticity before input is rejected.
 HERMITICITY_ATOL = 1e-9
 

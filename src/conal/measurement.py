@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import build_basis, embed
-from .linalg import polar_decompose, sqrt_psd
+from .linalg import DEFAULT_PSD_TOL, PROBABILITY_FLOOR, polar_decompose, sqrt_psd
 
 __all__ = [
     "GeneralizedMeasurement",
@@ -30,14 +30,8 @@ __all__ = [
     "PROBABILITY_FLOOR",
 ]
 
-#: Outcomes with probability at or below this have no rescaled state.
-PROBABILITY_FLOOR = 1e-12
-
 #: Default entrywise tolerance on ``sum_m M_m^dagger M_m = I``.
 COMPLETENESS_TOL = 1e-9
-
-#: Default eigenvalue floor for effect positivity.
-EFFECT_PSD_TOL = 1e-10
 
 
 def _operator_tuple(ops, d: int, what: str) -> tuple[np.ndarray, ...]:
@@ -113,7 +107,7 @@ class ValidationReport:
 def validate(
     meas,
     completeness_tol: float = COMPLETENESS_TOL,
-    psd_tol: float = EFFECT_PSD_TOL,
+    psd_tol: float = DEFAULT_PSD_TOL,
     basis: np.ndarray | None = None,
 ) -> ValidationReport:
     """Check completeness and effect positivity; never raises on failure.

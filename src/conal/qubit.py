@@ -13,19 +13,19 @@ from __future__ import annotations
 
 import numpy as np
 
+from .cone import DEFAULT_GEOM_TOL
+from .linalg import PROBABILITY_FLOOR
+
 __all__ = [
     "minkowski4",
     "qubit_positive",
     "sandwich",
-    "sandwich_compact",
     "square_vec",
     "sqrt_vec",
     "cross_relations",
     "post_inner_products",
     "post_norms",
     "IDENTITY_VEC",
-    "SANDWICH_K1",
-    "SANDWICH_K2",
 ]
 
 #: Coordinates of the 2x2 identity.
@@ -33,14 +33,6 @@ IDENTITY_VEC = np.array([2.0, 0.0, 0.0, 0.0])
 
 #: Metric signs (1, -1, -1, -1) as an array, for componentwise use.
 _ETA_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
-
-#: Coefficients of the conjugation identity
-#: ``A rho A = K1 (a . rho) A + K2 eta(a, a) (rho - Tr(rho) I)``.
-SANDWICH_K1 = 0.5
-SANDWICH_K2 = 0.25
-
-#: Probabilities below this are treated as zero when rescaling.
-_PROB_FLOOR = 1e-12
 
 
 def _as4(v, name: str = "vector") -> np.ndarray:
@@ -57,7 +49,7 @@ def minkowski4(u, v) -> float:
     return float(u[0] * v[0] - u[1] * v[1] - u[2] * v[2] - u[3] * v[3])
 
 
-def qubit_positive(v, tol: float = 1e-9) -> bool:
+def qubit_positive(v, tol: float = DEFAULT_GEOM_TOL) -> bool:
     """Closed-form positivity: ``eta(v, v) >= -tol`` and ``v_0 >= -tol``.
 
     Equivalent to both eigenvalues ``(v_0 +/- |v vec|) / 2`` being
@@ -81,44 +73,33 @@ def sandwich(a, rho) -> np.ndarray:
     return 0.5 * dot * a - 0.25 * norm * (_ETA_SIGNS * rho)
 
 
-def sandwich_compact(a, rho) -> np.ndarray:
-    """Same map as :func:`sandwich`, written as a combination of a, rho and I.
-
-    ``A rho A = K1 (a . rho) A + K2 eta(a, a) (rho - Tr(rho) I)`` with
-    ``K1 = 1/2`` and ``K2 = 1/4``.
-    """
-    a = _as4(a, "a")
-    rho = _as4(rho, "rho")
-    dot = float(a @ rho)
-    norm = minkowski4(a, a)
-    return SANDWICH_K1 * dot * a + SANDWICH_K2 * norm * (rho - rho[0] * IDENTITY_VEC)
-
-
 def square_vec(a) -> np.ndarray:
     """Coordinates of ``A**2``: ``a_0 a - (1/4) eta(a, a) * identity``."""
     a = _as4(a, "a")
     return a[0] * a - 0.25 * minkowski4(a, a) * IDENTITY_VEC
 
 
-def _psd_norm(a, tol: float) -> float:
+def _sqrt_parts(a, tol: float) -> tuple[float, float]:
+    """``sqrt(eta(a, a))`` and ``r = sqrt(a_0 + sqrt(eta(a, a)))`` of a nonzero PSD vector."""
     norm = minkowski4(a, a)
     if a[0] < -tol or norm < -tol:
         raise ValueError("vector is not the image of a PSD matrix")
-    return max(norm, 0.0)
+    root = np.sqrt(max(norm, 0.0))
+    r_sq = a[0] + root
+    if r_sq <= tol:
+        raise ValueError("square root undefined for the zero vector")
+    return root, np.sqrt(r_sq)
 
 
-def sqrt_vec(a, tol: float = 1e-9) -> np.ndarray:
+def sqrt_vec(a, tol: float = DEFAULT_GEOM_TOL) -> np.ndarray:
     """Coordinates of the PSD square root of a PSD ``A``.
 
     ``sqrt(A) = (a + sqrt(eta(a, a)) * identity / 2) / r`` with
     ``r = sqrt(a_0 + sqrt(eta(a, a)))``.  Raises on the zero vector.
     """
     a = _as4(a, "a")
-    root = np.sqrt(_psd_norm(a, tol))
-    r_sq = a[0] + root
-    if r_sq <= tol:
-        raise ValueError("square root undefined for the zero vector")
-    return (a + 0.5 * root * IDENTITY_VEC) / np.sqrt(r_sq)
+    root, r = _sqrt_parts(a, tol)
+    return (a + 0.5 * root * IDENTITY_VEC) / r
 
 
 def cross_relations(a, rho) -> tuple[float, float, float]:
@@ -132,15 +113,11 @@ def cross_relations(a, rho) -> tuple[float, float, float]:
     """
     a = _as4(a, "a")
     rho = _as4(rho, "rho")
-    norm = minkowski4(a, a)
-    root = np.sqrt(_psd_norm(a, 1e-9))
-    r_sq = a[0] + root
-    if r_sq <= 1e-9:
-        raise ValueError("relations undefined for the zero vector")
+    root, r = _sqrt_parts(a, DEFAULT_GEOM_TOL)
     dot = float(a @ rho)
     eta_sqrt = 2.0 * root
-    sq_dot = a[0] * dot - 0.5 * rho[0] * norm
-    sqrt_dot = (dot + rho[0] * root) / np.sqrt(r_sq)
+    sq_dot = a[0] * dot - 0.5 * rho[0] * minkowski4(a, a)
+    sqrt_dot = (dot + rho[0] * root) / r
     return eta_sqrt, sq_dot, sqrt_dot
 
 
@@ -173,7 +150,7 @@ def post_inner_products(e, r0, r1, rescaled: bool = True):
     cross = minkowski4(e, e) * minkowski4(r0, r1)
     full4 = 0.25 * (2.0 * d0 * d1 - cross)
     bloch3 = 0.25 * (d0 * d1 - cross)
-    if d0 <= _PROB_FLOOR or d1 <= _PROB_FLOOR:
+    if d0 <= PROBABILITY_FLOOR or d1 <= PROBABILITY_FLOOR:
         if rescaled:
             raise ValueError("zero outcome probability: rescaled products undefined")
         return full4, None, bloch3, None

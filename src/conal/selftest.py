@@ -1,18 +1,21 @@
-"""Seeded property suite runnable from the command line.
+"""Seeded verification registry runnable from the command line.
 
 Each check draws its randomness from a single generator, so a fixed seed
-makes the whole run bit-reproducible.  Checks return the worst residual
-they observed together with the tolerance they enforced.
+makes the whole run bit-reproducible.  A check yields ``(residual, where)``
+pairs and returns a :class:`CheckResult`: the worst residual, the tolerance
+it must not exceed, and the input where it occurred.
 """
 
 from __future__ import annotations
+
+import functools
+from typing import NamedTuple
 
 import numpy as np
 
 from . import (
     apply_all,
     build_basis,
-    closed_form_point,
     cone_contains,
     embed,
     hs_inner,
@@ -20,16 +23,15 @@ from . import (
     is_positive,
     minkowski_product,
     optimal_repair,
-    pipeline_point,
     polar_decompose,
     psi_matrix,
     qubit_positive,
     sandwich,
-    sandwich_compact,
     sqrt_psd,
     sqrt_vec,
     square_vec,
     stationarity_check,
+    sweep,
     unembed,
 )
 from .measurement import GeneralizedMeasurement
@@ -44,184 +46,206 @@ from .sampling import (
     random_pure,
     random_unitary,
 )
-from .tradeoff import repair_objective
+from .tradeoff import pipeline_residual, repair_objective
 
-__all__ = ["run_selftest", "CHECKS"]
+__all__ = ["run_selftest", "CHECKS", "CheckResult"]
 
 
+class CheckResult(NamedTuple):
+    """Worst residual of one check, its tolerance, and the input where it occurred."""
+
+    worst: float
+    tol: float
+    argworst: dict
+
+    @property
+    def ok(self) -> bool:
+        return self.worst <= self.tol
+
+
+def _check(tol: float):
+    """Turn a generator of ``(residual, where)`` pairs into a check returning a CheckResult.
+
+    The first largest residual names ``argworst``; the reported worst is
+    never below zero, since negative residuals are margins of inequalities.
+    """
+
+    def decorate(pairs):
+        @functools.wraps(pairs)
+        def check(rng) -> CheckResult:
+            worst, argworst = max(pairs(rng), key=lambda pair: pair[0])
+            return CheckResult(max(0.0, worst), tol, argworst)
+
+        return check
+
+    return decorate
+
+
+@_check(1e-12)
 def _check_basis_gram(rng):
-    worst = 0.0
     for d in range(2, 6):
         basis = build_basis(d)
         gram = np.einsum("mij,nji->mn", basis, basis).real
-        worst = max(worst, float(np.max(np.abs(gram - d * np.eye(d * d)))))
-    return worst, 1e-12
+        yield float(np.max(np.abs(gram - d * np.eye(d * d)))), {"d": d}
 
 
+@_check(1e-12)
 def _check_isometry(rng):
-    worst = 0.0
     for d in range(2, 6):
         basis = build_basis(d)
-        for _ in range(25):
+        for trial in range(25):
             A = random_hermitian(rng, d)
             B = random_hermitian(rng, d)
             lhs = hs_inner(A, B)
             rhs = float(embed(A, basis) @ embed(B, basis)) / d
-            worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
-    return worst, 1e-12
+            yield abs(lhs - rhs) / (1.0 + abs(lhs)), {"d": d, "trial": trial}
 
 
+@_check(1e-12)
 def _check_round_trip(rng):
-    worst = 0.0
     for d in range(2, 6):
         basis = build_basis(d)
-        for _ in range(25):
+        for trial in range(25):
             A = random_hermitian(rng, d)
-            worst = max(worst, float(np.max(np.abs(unembed(embed(A, basis), basis) - A))))
-    return worst, 1e-12
+            residual = float(np.max(np.abs(unembed(embed(A, basis), basis) - A)))
+            yield residual, {"d": d, "trial": trial}
 
 
+@_check(1e-10)
 def _check_trace_positivity(rng):
-    worst = 0.0
     for d in (2, 3, 4):
-        for _ in range(25):
+        for trial in range(25):
             B = random_psd(rng, d)
             C = random_psd(rng, d)
             A = random_hermitian(rng, d)
-            worst = max(worst, -float(np.trace(B @ C).real))
-            worst = max(worst, -float(np.trace(B @ A @ B @ A).real))
-    return worst, 1e-10
+            at = {"d": d, "trial": trial}
+            yield -float(np.trace(B @ C).real), at
+            yield -float(np.trace(B @ A @ B @ A).real), at
 
 
+@_check(1e-10)
 def _check_sqrt_psd(rng):
-    worst = 0.0
     for d in (2, 3, 5):
-        for _ in range(20):
+        for trial in range(20):
             A = random_psd(rng, d)
             B = sqrt_psd(A)
-            worst = max(worst, float(np.max(np.abs(B @ B - A))))
-            worst = max(worst, -float(np.linalg.eigvalsh(B)[0]))
-    return worst, 1e-10
+            at = {"d": d, "trial": trial}
+            yield float(np.max(np.abs(B @ B - A))), at
+            yield -float(np.linalg.eigvalsh(B)[0]), at
 
 
+@_check(1e-10)
 def _check_polar(rng):
-    worst = 0.0
     for d in (2, 3, 4):
-        for _ in range(20):
+        for trial in range(20):
             M = random_complex(rng, d)
             U, P = polar_decompose(M)
-            worst = max(worst, float(np.max(np.abs(U @ P - M))))
-            worst = max(worst, float(np.max(np.abs(U.conj().T @ U - np.eye(d)))))
-    return worst, 1e-10
+            at = {"d": d, "trial": trial}
+            yield float(np.max(np.abs(U @ P - M))), at
+            yield float(np.max(np.abs(U.conj().T @ U - np.eye(d)))), at
 
 
+@_check(1e-10)
 def _check_psi_homomorphism(rng):
-    worst = 0.0
     for d in (2, 3):
         basis = build_basis(d)
-        for _ in range(20):
+        for trial in range(20):
             A = random_complex(rng, d)
             B = random_complex(rng, d)
             lhs = psi_matrix(A @ B, basis)
             rhs = psi_matrix(A, basis) @ psi_matrix(B, basis)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst, 1e-10
+            yield float(np.max(np.abs(lhs - rhs))), {"d": d, "trial": trial}
 
 
+@_check(1e-8)
 def _check_psi_unitary(rng):
-    worst = 0.0
     for d in (2, 3):
         basis = build_basis(d)
         eye = np.eye(d * d)
-        for _ in range(20):
+        for trial in range(20):
             U = random_unitary(rng, d)
             R = psi_matrix(U, basis)
-            worst = max(worst, float(np.max(np.abs(R.T @ R - eye))))
-            worst = max(worst, abs(np.linalg.det(R) - 1.0))
-            worst = max(worst, float(np.max(np.abs(R[:, 0] - eye[:, 0]))))
+            at = {"d": d, "trial": trial}
+            yield float(np.max(np.abs(R.T @ R - eye))), at
+            yield abs(np.linalg.det(R) - 1.0), at
+            yield float(np.max(np.abs(R[:, 0] - eye[:, 0]))), at
             phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
-            worst = max(worst, float(np.max(np.abs(psi_matrix(phase * U, basis) - R))))
-    return worst, 1e-8
+            yield float(np.max(np.abs(psi_matrix(phase * U, basis) - R))), at
 
 
+@_check(1e-10)
 def _check_psi_effect(rng):
-    worst = 0.0
     for d in (2, 3):
         basis = build_basis(d)
-        for _ in range(20):
+        for trial in range(20):
             root = sqrt_psd(random_psd(rng, d))
             R = psi_matrix(root, basis)
-            worst = max(worst, float(np.max(np.abs(R - R.T))))
-            worst = max(worst, -float(np.linalg.eigvalsh((R + R.T) / 2)[0]))
-    return worst, 1e-10
+            at = {"d": d, "trial": trial}
+            yield float(np.max(np.abs(R - R.T))), at
+            yield -float(np.linalg.eigvalsh((R + R.T) / 2)[0]), at
 
 
+@_check(0.5)
 def _check_cone_membership(rng):
     for d in range(2, 6):
         basis = build_basis(d)
-        for _ in range(50):
+        for trial in range(50):
             v = embed(random_psd(rng, d), basis)
-            if not cone_contains(v):
-                return 1.0, 0.5
-    return 0.0, 0.5
+            yield float(not cone_contains(v)), {"d": d, "trial": trial}
 
 
+@_check(1e-10)
 def _check_pure_lightlike(rng):
-    worst = 0.0
     for d in range(2, 6):
         basis = build_basis(d)
-        for _ in range(50):
+        for trial in range(50):
             v = embed(random_pure(rng, d), basis)
-            worst = max(worst, abs(minkowski_product(v, v)))
-            worst = max(worst, abs(v[0] - 1.0))
-            if not is_generalized_pure(v, basis):
-                return 1.0, 1e-10
-    return worst, 1e-10
+            at = {"d": d, "trial": trial}
+            yield abs(minkowski_product(v, v)), at
+            yield abs(v[0] - 1.0), at
+            yield float(not is_generalized_pure(v, basis)), at
 
 
+@_check(0.5)
 def _check_qubit_positivity(rng):
     basis = build_basis(2)
-    for _ in range(200):
+    for trial in range(200):
         v = rng.standard_normal(4) * 2.0
-        if qubit_positive(v) != is_positive(unembed(v, basis)):
-            return 1.0, 0.5
-    return 0.0, 0.5
+        yield float(qubit_positive(v) != is_positive(unembed(v, basis))), {"trial": trial}
 
 
+@_check(1e-10)
 def _check_qubit_sandwich(rng):
     basis = build_basis(2)
-    worst = 0.0
-    for _ in range(100):
+    for trial in range(100):
         a = embed(random_psd(rng, 2), basis)
         r = embed(random_psd(rng, 2), basis)
         A = unembed(a, basis)
         R = unembed(r, basis)
         dense = embed(A @ R @ A, basis)
-        worst = max(worst, float(np.max(np.abs(sandwich(a, r) - dense))))
-        worst = max(worst, float(np.max(np.abs(sandwich_compact(a, r) - sandwich(a, r)))))
-    return worst, 1e-10
+        yield float(np.max(np.abs(sandwich(a, r) - dense))), {"trial": trial}
 
 
+@_check(1e-9)
 def _check_qubit_roots(rng):
     basis = build_basis(2)
-    worst = 0.0
-    for _ in range(100):
+    for trial in range(100):
         a = embed(random_psd(rng, 2), basis)
         A = unembed(a, basis)
-        worst = max(worst, float(np.max(np.abs(square_vec(a) - embed(A @ A, basis)))))
-        worst = max(worst, float(np.max(np.abs(sqrt_vec(a) - embed(sqrt_psd(A), basis)))))
+        at = {"trial": trial}
+        yield float(np.max(np.abs(square_vec(a) - embed(A @ A, basis)))), at
+        yield float(np.max(np.abs(sqrt_vec(a) - embed(sqrt_psd(A), basis)))), at
         r = embed(random_psd(rng, 2), basis)
         eta_sqrt, sq_dot, sqrt_dot = cross_relations(a, r)
-        worst = max(worst, abs(eta_sqrt - minkowski_product(sqrt_vec(a), sqrt_vec(a))))
-        worst = max(worst, abs(sq_dot - float(square_vec(a) @ r)))
-        worst = max(worst, abs(sqrt_dot - float(sqrt_vec(a) @ r)))
-    return worst, 1e-9
+        yield abs(eta_sqrt - minkowski_product(sqrt_vec(a), sqrt_vec(a))), at
+        yield abs(sq_dot - float(square_vec(a) @ r)), at
+        yield abs(sqrt_dot - float(sqrt_vec(a) @ r)), at
 
 
+@_check(1e-8)
 def _check_qubit_post_products(rng):
     basis = build_basis(2)
-    worst = 0.0
-    for _ in range(100):
+    for trial in range(100):
         e = embed(random_psd(rng, 2), basis)
         r0 = embed(random_psd(rng, 2), basis)
         r1 = embed(random_psd(rng, 2), basis)
@@ -229,33 +253,32 @@ def _check_qubit_post_products(rng):
         u0 = sandwich(root, r0)
         u1 = sandwich(root, r1)
         full4, rescaled4, bloch3, rescaled3 = post_inner_products(e, r0, r1)
-        worst = max(worst, abs(full4 - float(u0 @ u1)))
-        worst = max(worst, abs(bloch3 - float(u0[1:] @ u1[1:])))
-        p0 = u0[0]
-        p1 = u1[0]
-        worst = max(worst, abs(rescaled4 - float(u0 @ u1) / (p0 * p1)))
-        worst = max(worst, abs(rescaled3 - float(u0[1:] @ u1[1:]) / (p0 * p1)))
-    return worst, 1e-8
+        heights = u0[0] * u1[0]
+        at = {"trial": trial}
+        yield abs(full4 - float(u0 @ u1)), at
+        yield abs(bloch3 - float(u0[1:] @ u1[1:])), at
+        yield abs(rescaled4 - float(u0 @ u1) / heights), at
+        yield abs(rescaled3 - float(u0[1:] @ u1[1:]) / heights), at
 
 
+@_check(1e-10)
 def _check_measurement_statistics(rng):
-    worst = 0.0
     for d in (2, 3):
         basis = build_basis(d)
-        for _ in range(25):
+        for trial in range(25):
             meas = GeneralizedMeasurement(
                 dim=d, kraus=random_kraus_set(rng, d, rng.integers(2, 5))
             )
             rho = random_density(rng, d)
             records = apply_all(meas, rho, basis)
-            worst = max(worst, abs(sum(r.probability for r in records) - 1.0))
+            at = {"d": d, "trial": trial}
+            yield abs(sum(r.probability for r in records) - 1.0), at
             for rec in records:
-                worst = max(worst, abs(rec.unrescaled[0] - rec.probability))
-    return worst, 1e-10
+                yield abs(rec.unrescaled[0] - rec.probability), at
 
 
+@_check(1e-6)
 def _check_repair(rng):
-    worst = 0.0
     for _ in range(100):
         p, q = rng.uniform(0.02, 0.5, 2)
         delta = rng.uniform(0.0, 1.5)
@@ -263,29 +286,25 @@ def _check_repair(rng):
         w_num, d_num = golden_section(
             lambda w: repair_objective(p, q, delta, w), -np.pi / 2, np.pi / 2, 1e-9
         )
-        worst = max(worst, abs(omega - w_num))
-        worst = max(worst, abs(d_min - d_num))
-    return worst, 1e-6
+        at = {"p": p, "q": q, "delta": delta}
+        yield abs(omega - w_num), at
+        yield abs(d_min - d_num), at
 
 
+@_check(1e-9)
 def _check_tradeoff_match(rng):
-    worst = 0.0
-    for c in (0.3, 1 / np.sqrt(2.0), 0.9):
-        for beta in (0.0, 0.4, 0.8, 1.0):
-            cf = closed_form_point(c, beta)
-            pipe = pipeline_point(c, beta)
-            worst = max(worst, abs(cf.info_bits - pipe.info_bits))
-            worst = max(worst, abs(cf.disturbance - pipe.disturbance))
-    return worst, 1e-9
+    points = [pt for c in (0.3, 1 / np.sqrt(2.0), 0.9) for pt in sweep(c, (0.0, 0.4, 0.8, 1.0))]
+    worst, (c, beta) = pipeline_residual(points)
+    yield worst, {"c": c, "beta": beta}
 
 
+@_check(1e-5)
 def _check_stationarity(rng):
-    worst = 0.0
     for c, beta in ((0.5, 0.4), (0.8, 0.6)):
         report = stationarity_check(c, beta)
-        worst = max(worst, report.max_constrained_derivative)
-        worst = max(worst, report.mirror_max_residual)
-    return worst, 1e-5
+        at = {"c": c, "beta": beta}
+        yield report.max_constrained_derivative, at
+        yield report.mirror_max_residual, at
 
 
 CHECKS = [
@@ -312,16 +331,21 @@ CHECKS = [
 
 
 def run_selftest(seed: int = 0, out=print) -> tuple[int, int]:
-    """Run every check with a fixed seed; returns (passed, failed) counts."""
+    """Run every check with a fixed seed; returns (passed, failed) counts.
+
+    A failing check's line also names the input of its worst residual.
+    """
     rng = np.random.default_rng(seed)
     passed = failed = 0
     for name, check in CHECKS:
-        worst, tol = check(rng)
-        ok = worst <= tol
-        if ok:
+        result = check(rng)
+        line = f"{name:32s} residual {result.worst:.3e} (tol {result.tol:.1e})"
+        if result.ok:
             passed += 1
+            out(f"ok   {line}")
         else:
             failed += 1
-        out(f"{'ok  ' if ok else 'FAIL'} {name:32s} residual {worst:.3e} (tol {tol:.1e})")
+            where = " ".join(f"{k}={v:.12g}" for k, v in result.argworst.items())
+            out(f"FAIL {line} at {where}")
     out(f"{passed} passed, {failed} failed")
     return passed, failed

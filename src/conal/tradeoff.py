@@ -26,8 +26,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .linalg import PROBABILITY_FLOOR
 from .optimize import minimize_periodic
-from .qubit import minkowski4, qubit_positive, sandwich, sqrt_vec
+from .qubit import post_inner_products, qubit_positive, sandwich, sqrt_vec
 
 __all__ = [
     "Scenario",
@@ -46,10 +47,9 @@ __all__ = [
     "closed_form_point",
     "pipeline_point",
     "stationarity_check",
+    "pipeline_residual",
     "sweep",
 ]
-
-_PROB_FLOOR = 1e-12
 
 #: Coordinate sum of a complete two-outcome attack; the effects must add to it.
 ATTACK_TOTAL = np.array([2.0, 0.0, 0.0, 0.0])
@@ -63,6 +63,11 @@ class Scenario:
     s: float
     v0: np.ndarray
     v1: np.ndarray
+
+    @property
+    def theta(self) -> float:
+        """Bloch angle between the two prepared states, ``acos(1 - 2 c^2)``."""
+        return math.acos(min(1.0, max(-1.0, 1.0 - 2.0 * self.c * self.c)))
 
 
 @dataclass(frozen=True)
@@ -143,18 +148,13 @@ def info_contribution(p: float, q: float) -> float:
 def post_angle(eps, sc: Scenario) -> AngleSet:
     """Bloch angles before and after the outcome with effect vector ``eps``.
 
-    ``cos(theta_m) = 1 - eta(eps, eps) eta(v0, v1) / ((eps.v0)(eps.v1))``;
-    pure effects collapse both states onto one ray (``theta_m = 0``), the
-    identity leaves the angle untouched.
+    ``cos(theta_m) = 1 - eta(eps, eps) eta(v0, v1) / ((eps.v0)(eps.v1))`` is
+    the rescaled 3-dot of :func:`conal.qubit.post_inner_products`; pure
+    effects collapse both states onto one ray (``theta_m = 0``), the
+    identity leaves the angle untouched.  Raises on a zero-probability branch.
     """
-    eps = np.asarray(eps, dtype=float)
-    d0 = float(eps @ sc.v0)
-    d1 = float(eps @ sc.v1)
-    if d0 <= _PROB_FLOOR or d1 <= _PROB_FLOOR:
-        raise ValueError("zero-probability branch: post angle undefined")
-    theta = math.acos(min(1.0, max(-1.0, 1.0 - 2.0 * sc.c * sc.c)))
-    cos_tm = 1.0 - minkowski4(eps, eps) * minkowski4(sc.v0, sc.v1) / (d0 * d1)
-    theta_m = math.acos(min(1.0, max(-1.0, cos_tm)))
+    cos_tm = post_inner_products(eps, sc.v0, sc.v1)[3]
+    theta, theta_m = sc.theta, math.acos(min(1.0, max(-1.0, cos_tm)))
     return AngleSet(theta=theta, theta_m=theta_m, delta_m=theta - theta_m)
 
 
@@ -197,53 +197,56 @@ def outcome_info(eps, sc: Scenario) -> float:
     return info_contribution(p, q)
 
 
+def _outcome_angles(eps, sc: Scenario, p: float, q: float) -> tuple[AngleSet, bool]:
+    """Bloch angles of the outcome with joint probabilities ``(p, q)``, and whether both occur.
+
+    With one branch left, both post states lie on its ray (``theta_m = 0``)
+    and the exact repair puts the bisector offset at ``theta / 2``.
+    """
+    if min(p, q) * 4.0 <= PROBABILITY_FLOOR:
+        theta = sc.theta
+        return AngleSet(theta, 0.0, theta, theta / 2.0), False
+    return post_angle(eps, sc), True
+
+
+def _analytic_repair(eps, sc: Scenario, p: float, q: float) -> tuple[AngleSet, float]:
+    """Angles with the arcsin-optimal offset, and the repaired disturbance."""
+    angles, both = _outcome_angles(eps, sc, p, q)
+    if not both:
+        return angles, 0.0
+    omega, dist = optimal_repair(p, q, angles.delta_m / 2.0)
+    return replace(angles, omega_m=omega), dist
+
+
 def outcome_disturbance(eps, sc: Scenario) -> float:
     """Optimally repaired disturbance contribution of the effect ``eps``.
 
     Branches with vanishing probability are perfectly repairable, so the
     degenerate cases reduce to aligning the surviving state exactly.
     """
-    p, q = joint_probs(eps, sc)
-    if min(p, q) * 4.0 <= _PROB_FLOOR:
-        return 0.0
-    angles = post_angle(eps, sc)
-    return optimal_repair(p, q, angles.delta_m / 2.0)[1]
+    return _analytic_repair(eps, sc, *joint_probs(eps, sc))[1]
 
 
 def _outcome_detail(eps, sc: Scenario) -> OutcomeTradeoff:
     p, q = joint_probs(eps, sc)
     info = info_contribution(p, q)
-    theta = math.acos(min(1.0, max(-1.0, 1.0 - 2.0 * sc.c * sc.c)))
-    if min(p, q) * 4.0 <= _PROB_FLOOR:
-        # Single surviving branch: full collapse, exact repair.
-        angles = AngleSet(theta=theta, theta_m=0.0, delta_m=theta, omega_m=theta / 2.0)
-        return OutcomeTradeoff(p=p, q=q, info_bits=info, disturbance=0.0, angles=angles)
-    angles = post_angle(eps, sc)
-    omega, dist = optimal_repair(p, q, angles.delta_m / 2.0)
-    return OutcomeTradeoff(
-        p=p,
-        q=q,
-        info_bits=info,
-        disturbance=dist,
-        angles=replace(angles, omega_m=omega),
-    )
+    angles, dist = _analytic_repair(eps, sc, p, q)
+    return OutcomeTradeoff(p=p, q=q, info_bits=info, disturbance=dist, angles=angles)
 
 
 def _symmetric_attack(beta: float) -> tuple[np.ndarray, np.ndarray]:
     return np.array([1.0, beta, 0.0, 0.0]), np.array([1.0, -beta, 0.0, 0.0])
 
 
-def _check_params(c: float, beta: float) -> None:
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(f"half-separation must lie in [0, 1], got {c}")
+def _check_beta(beta: float) -> None:
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"attack strength must lie in [0, 1], got {beta}")
 
 
 def closed_form_point(c: float, beta: float) -> TradeoffPoint:
     """Tradeoff of the symmetric attack ``(1, +/-beta, 0, 0)`` in closed form."""
-    _check_params(c, beta)
     sc = make_scenario(c)
+    _check_beta(beta)
     radicand = 1.0 + (c**2 - c**4) * (beta**2 - 2.0 + 2.0 * math.sqrt(1.0 - beta**2))
     disturbance = 0.5 - 0.5 * math.sqrt(max(radicand, 0.0))
     u = beta * c
@@ -278,9 +281,9 @@ def _numeric_repair(
     golden-section refinement, independent of the closed forms.
     """
     terms = []
-    if u0[0] > _PROB_FLOOR:
+    if u0[0] > PROBABILITY_FLOOR:
         terms.append((p, sc.v0[1:], u0[1:] / u0[0]))
-    if u1[0] > _PROB_FLOOR:
+    if u1[0] > PROBABILITY_FLOOR:
         terms.append((q, sc.v1[1:], u1[1:] / u1[0]))
     if not terms:
         return 0.0, 0.0
@@ -305,9 +308,8 @@ def pipeline_point(c: float, beta: float) -> TradeoffPoint:
     repair rotation numerically.  Must agree with
     :func:`closed_form_point` to high accuracy.
     """
-    _check_params(c, beta)
     sc = make_scenario(c)
-    theta = math.acos(min(1.0, max(-1.0, 1.0 - 2.0 * c * c)))
+    _check_beta(beta)
     outcomes = []
     for eps in _symmetric_attack(beta):
         root = sqrt_vec(eps)
@@ -315,10 +317,7 @@ def pipeline_point(c: float, beta: float) -> TradeoffPoint:
         u1 = sandwich(root, sc.v1)
         p, q = u0[0] / 2.0, u1[0] / 2.0
         info = info_contribution(p, q)
-        if min(p, q) * 4.0 > _PROB_FLOOR:
-            angles = post_angle(eps, sc)
-        else:
-            angles = AngleSet(theta=theta, theta_m=0.0, delta_m=theta)
+        angles, _ = _outcome_angles(eps, sc, p, q)
         omega, dist = _numeric_repair(p, q, sc, u0, u1)
         outcomes.append(
             OutcomeTradeoff(
@@ -391,7 +390,6 @@ def stationarity_check(
     """
     if not 0.0 < beta < 1.0:
         raise ValueError("stationarity is checked at interior attack strengths")
-    _check_params(c, beta)
     sc = make_scenario(c)
     eps0, eps1 = _symmetric_attack(beta)
 
@@ -447,26 +445,37 @@ def stationarity_check(
     )
 
 
+def pipeline_residual(points) -> tuple[float, tuple[float, float] | None]:
+    """Worst disagreement of closed-form points with the end-to-end pipeline.
+
+    Recomputes every point with :func:`pipeline_point` and returns the
+    largest ``|I|`` or ``|D|`` difference and the first ``(c, beta)`` where
+    it occurs.
+    """
+
+    def residual(pt: TradeoffPoint) -> float:
+        pipe = pipeline_point(pt.c, pt.beta)
+        return max(abs(pipe.info_bits - pt.info_bits), abs(pipe.disturbance - pt.disturbance))
+
+    pairs = ((residual(pt), (pt.c, pt.beta)) for pt in points)
+    return max(pairs, key=lambda pair: pair[0], default=(0.0, None))
+
+
 def sweep(
     c: float, betas, verify: bool = False, verify_tol: float = 1e-9
 ) -> list[TradeoffPoint]:
     """Closed-form tradeoff points over a grid of attack strengths.
 
     With ``verify=True`` every point is recomputed through the end-to-end
-    pipeline and a disagreement beyond ``verify_tol`` raises.
+    pipeline and a disagreement beyond ``verify_tol`` raises, naming the
+    worst ``(c, beta)``.
     """
     points = [closed_form_point(c, float(b)) for b in betas]
     if verify:
-        worst = 0.0
-        for pt in points:
-            pipe = pipeline_point(pt.c, pt.beta)
-            worst = max(
-                worst,
-                abs(pipe.info_bits - pt.info_bits),
-                abs(pipe.disturbance - pt.disturbance),
-            )
+        worst, where = pipeline_residual(points)
         if worst > verify_tol:
             raise ValueError(
-                f"closed form and pipeline disagree: worst residual {worst:.3e}"
+                f"closed form and pipeline disagree: worst residual {worst:.3e} "
+                f"at c={where[0]:.12g} beta={where[1]:.12g}"
             )
     return points

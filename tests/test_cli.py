@@ -1,8 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
+from conal import selftest
 from conal.cli import main
 from conal.serialization import read_sweep_csv
 
@@ -208,7 +210,7 @@ def test_tradeoff_verify_failure_exits_one(capsys):
         "--verify-tol", "1e-30",
     )
     assert code == 1
-    assert "residual" in err
+    assert re.search(r"residual \S+ at c=0\.5 beta=(0|0\.5|1) exceeds", err), err
 
 
 def test_tradeoff_bad_grid_exits_two(capsys):
@@ -228,3 +230,17 @@ def test_selftest_seed_reproducible(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert "0 failed" in out1
+
+
+def test_selftest_failure_names_worst_input(capsys, monkeypatch):
+    checks = list(selftest.CHECKS)
+    name, check = checks[-2]
+    checks[-2] = (name, lambda rng: check(rng)._replace(tol=-1.0))
+    monkeypatch.setattr(selftest, "CHECKS", checks)
+    code, out, _ = run_cli(capsys, "selftest", "--seed", "0")
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert code == 1
+    assert len(fails) == 1
+    pattern = rf"FAIL {name} +residual \S+ \(tol -1\.0e\+00\) at c=\S+ beta=\S+"
+    assert re.fullmatch(pattern, fails[0]), fails[0]
+    assert out.splitlines()[-1] == "18 passed, 1 failed"

@@ -58,6 +58,14 @@ def test_psd_matrices_land_in_cone(d, rng, bases):
         assert cone_contains(embed(random_psd(rng, d), bases[d]))
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_pure_states_lightlike_at_unit_height(d, rng, bases):
+    for _ in range(250):
+        v = embed(random_pure(rng, d), bases[d])
+        assert abs(minkowski_product(v, v)) <= 1e-12
+        assert abs(v[0] - 1.0) <= 1e-12
+
+
 def test_is_positive_vec_examples(bases):
     for d in (2, 3):
         v = np.zeros(d * d)

@@ -177,8 +177,10 @@ def test_probability_normalization_and_height(d, rng, bases):
 def test_rotation_equivalence(d, rng, bases):
     # A kraus operator and its positive part give identical statistics; the
     # rescaled outputs differ exactly by the rotation of the unitary factor.
-    for _ in range(100):
-        meas = GeneralizedMeasurement(dim=d, kraus=random_kraus_set(rng, d, 2))
+    for _ in range(500):
+        meas = GeneralizedMeasurement(
+            dim=d, kraus=random_kraus_set(rng, d, int(rng.integers(2, 5)))
+        )
         rho = random_density(rng, d)
         for M in meas.kraus:
             root = sqrt_psd(M.conj().T @ M)
@@ -197,8 +199,10 @@ def test_rotation_equivalence(d, rng, bases):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_purity_preservation(d, rng, bases):
-    for _ in range(100):
-        meas = GeneralizedMeasurement(dim=d, kraus=random_kraus_set(rng, d, 2))
+    for _ in range(200):
+        meas = GeneralizedMeasurement(
+            dim=d, kraus=random_kraus_set(rng, d, int(rng.integers(2, 5)))
+        )
         rho = random_pure(rng, d)
         for rec in apply_all(meas, rho, bases[d]):
             if rec.rescaled_defined and rec.probability > 1e-8:

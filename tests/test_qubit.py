@@ -5,15 +5,12 @@ from conal.basis import embed, unembed
 from conal.linalg import sqrt_psd
 from conal.qubit import (
     IDENTITY_VEC,
-    SANDWICH_K1,
-    SANDWICH_K2,
     cross_relations,
     minkowski4,
     post_inner_products,
     post_norms,
     qubit_positive,
     sandwich,
-    sandwich_compact,
     sqrt_vec,
     square_vec,
 )
@@ -27,6 +24,20 @@ def tau(bases):
 
 def random_cone_vec(rng, tau):
     return embed(random_psd(rng, 2), tau)
+
+
+#: Coefficients of the conjugation identity
+#: ``A rho A = K1 (a . rho) A + K2 eta(a, a) (rho - Tr(rho) I)``.
+SANDWICH_K1 = 0.5
+SANDWICH_K2 = 0.25
+
+
+def sandwich_compact(a, rho):
+    """Oracle for :func:`sandwich` written as a combination of a, rho and I."""
+    a = np.asarray(a, dtype=float)
+    rho = np.asarray(rho, dtype=float)
+    norm = minkowski4(a, a)
+    return SANDWICH_K1 * float(a @ rho) * a + SANDWICH_K2 * norm * (rho - rho[0] * IDENTITY_VEC)
 
 
 def dense_sandwich(a, rho, tau):
@@ -183,8 +194,11 @@ def test_post_inner_products_against_dense(rng, tau):
         assert full4 == pytest.approx(float(u0 @ u1), abs=1e-10)
         assert bloch3 == pytest.approx(float(u0[1:] @ u1[1:]), abs=1e-10)
         scale = u0[0] * u1[0]
-        assert rescaled4 == pytest.approx(float(u0 @ u1) / scale, rel=1e-8, abs=1e-8)
+        assert rescaled4 == pytest.approx(float(u0 @ u1) / scale, abs=1e-10)
         assert rescaled3 == pytest.approx(float(u0[1:] @ u1[1:]) / scale, rel=1e-8, abs=1e-8)
+        n4, _, n3, _ = post_norms(e, r0)
+        assert n4 == pytest.approx(float(u0 @ u0), abs=1e-10)
+        assert n3 == pytest.approx(float(u0[1:] @ u0[1:]), abs=1e-10)
 
 
 def test_post_norms_purity(rng, tau):

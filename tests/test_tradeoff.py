@@ -194,9 +194,10 @@ def test_optimal_repair_rejects_bad_probabilities():
 
 
 def test_closed_form_endpoints():
-    pt = closed_form_point(0.5, 0.0)
-    assert pt.info_bits == pytest.approx(0.0, abs=1e-15)
-    assert pt.disturbance == pytest.approx(0.0, abs=1e-15)
+    for c in (0.37, 0.5):
+        pt = closed_form_point(c, 0.0)
+        assert pt.info_bits == pytest.approx(0.0, abs=1e-15)
+        assert pt.disturbance == pytest.approx(0.0, abs=1e-15)
     pt = closed_form_point(1.0, 1.0)
     assert pt.info_bits == pytest.approx(1.0, abs=1e-12)
     assert pt.disturbance == pytest.approx(0.0, abs=1e-12)
@@ -394,3 +395,5 @@ def test_sweep_degenerate_separations():
 def test_sweep_verify_mode():
     points = sweep(0.5, np.linspace(0.0, 1.0, 5), verify=True)
     assert len(points) == 5
+    with pytest.raises(ValueError, match=r"worst residual \S+ at c=0\.5 beta=\S+$"):
+        sweep(0.5, np.linspace(0.0, 1.0, 5), verify=True, verify_tol=1e-30)
