@@ -2,7 +2,7 @@
 
 Sweeps the symmetric attack family for a few state separations, printing
 the closed-form curve next to the end-to-end pipeline (effect square
-root, conjugation, numeric repair optimization), and finishes with the
+root, conjugation, exact repair rotation), and finishes with the
 finite-difference stationarity evidence that the symmetric attack is
 optimal at fixed information gain.
 """
@@ -42,8 +42,8 @@ for beta in np.linspace(0.0, 1.0, 11):
 print("""
 At beta = 1 the attack effects are rank one: Eve learns the most
 (I = 0.399 bits) and the states are damaged the most (D = 1/2 - sqrt(3)/4).
-The pipeline columns show the independent numeric route agreeing with the
-closed forms far below the 1e-9 contract.
+The pipeline columns show the independent end-to-end route agreeing with
+the closed forms far below the 1e-9 contract.
 """)
 
 # ---------------------------------------------------------------------------

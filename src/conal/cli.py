@@ -43,8 +43,11 @@ from .serialization import (
     vector_to_obj,
     write_sweep_csv,
 )
-from .tradeoff import pipeline_residual, sweep
+from .tradeoff import VERIFY_TOL, pipeline_residual, sweep
 from .selftest import run_selftest
+
+#: Tolerance on the unit trace and the positivity of a density matrix read from input.
+STATE_TOL = 1e-9
 
 
 def _read_text(path: str) -> str:
@@ -112,9 +115,9 @@ def _cmd_measure(args) -> int:
     except ValueError as err:
         raise InputFormatError(str(err)) from err
     trace = float(np.trace(rho).real)
-    if abs(trace - 1.0) > 1e-9:
+    if abs(trace - 1.0) > STATE_TOL:
         raise InputFormatError(f"state must have unit trace, got {trace:.6g}")
-    if not is_positive(rho, tol=1e-9):
+    if not is_positive(rho, tol=STATE_TOL):
         raise InputFormatError("state must be positive semidefinite")
     meas = measurement_from_obj(_load_obj(args.measurement))
     if meas.dim != rho.shape[0]:
@@ -226,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-", help="output CSV path (default stdout)")
     p.add_argument("--extended", action="store_true", help="per-outcome columns")
     p.add_argument("--verify", action="store_true", help="cross-check with the pipeline")
-    p.add_argument("--verify-tol", type=float, default=1e-9)
+    p.add_argument("--verify-tol", type=float, default=VERIFY_TOL)
     p.set_defaults(func=_cmd_tradeoff)
 
     p = sub.add_parser("selftest", help="run the seeded property suite")

@@ -46,7 +46,7 @@ from .sampling import (
     random_pure,
     random_unitary,
 )
-from .tradeoff import pipeline_residual, repair_objective
+from .tradeoff import VERIFY_TOL, pipeline_residual, repair_objective
 
 __all__ = ["run_selftest", "CHECKS", "CheckResult"]
 
@@ -291,7 +291,7 @@ def _check_repair(rng):
         yield abs(d_min - d_num), at
 
 
-@_check(1e-9)
+@_check(VERIFY_TOL)
 def _check_tradeoff_match(rng):
     points = [pt for c in (0.3, 1 / np.sqrt(2.0), 0.9) for pt in sweep(c, (0.0, 0.4, 0.8, 1.0))]
     worst, (c, beta) = pipeline_residual(points)

@@ -15,8 +15,8 @@ symmetric attack family ``(1, +/-beta, 0, 0)``,
     D = 1/2 - 1/2 sqrt(1 + (c^2 - c^4)(beta^2 - 2 + 2 sqrt(1 - beta^2)))
     I = 1/2 [(1 + beta c) log2(1 + beta c) + (1 - beta c) log2(1 - beta c)]
 
-and an end-to-end pipeline (effect square root, conjugation, numeric
-minimization over the repair rotation) that must agree with them.
+and an end-to-end array pipeline (effect square root, conjugation, exact
+Procrustes repair rotation) that must agree with them.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import PROBABILITY_FLOOR
-from .optimize import minimize_periodic
+from .optimize import minimize_periodic  # noqa: F401  (clibench's tracer test reads it)
 from .qubit import post_inner_products, qubit_positive, sandwich, sqrt_vec
 
 __all__ = [
@@ -53,6 +53,9 @@ __all__ = [
 
 #: Coordinate sum of a complete two-outcome attack; the effects must add to it.
 ATTACK_TOTAL = np.array([2.0, 0.0, 0.0, 0.0])
+
+#: Largest tolerated ``|I|`` or ``|D|`` gap between the closed forms and the pipeline.
+VERIFY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -257,46 +260,41 @@ def closed_form_point(c: float, beta: float) -> TradeoffPoint:
     )
 
 
-def _rotate_xy(w: np.ndarray, chi: float) -> np.ndarray:
-    """Rotate the (x, y) block of a Bloch 3-vector by ``chi`` about z."""
-    cos_c, sin_c = math.cos(chi), math.sin(chi)
-    return np.array(
-        [cos_c * w[0] - sin_c * w[1], sin_c * w[0] + cos_c * w[1], w[2]]
-    )
+def _xlog2x_array(t: np.ndarray) -> np.ndarray:
+    """Elementwise ``t log2 t``, zero where ``t <= 0``."""
+    return t * np.log2(t, out=np.zeros_like(t), where=t > 0.0)
 
 
-def _signed_xy_angle(u: np.ndarray, w: np.ndarray) -> float:
-    """Signed angle from ``u`` to ``w`` in the (x, y) plane."""
-    return math.atan2(u[0] * w[1] - u[1] * w[0], float(u[:2] @ w[:2]))
+def _pipeline_arrays(c: np.ndarray, beta: np.ndarray):
+    """End-to-end tradeoff of the symmetric attack at the pairs ``(c[i], beta[i])``.
 
-
-def _numeric_repair(
-    p: float, q: float, sc: Scenario, u0: np.ndarray, u1: np.ndarray
-) -> tuple[float, float]:
-    """Minimize the outcome disturbance over in-plane repair rotations.
-
-    ``u0`` and ``u1`` are the unrescaled post vectors of the two inputs.
-    Returns ``(omega, d_min)`` where ``omega`` is the realized bisector
-    offset of the repaired pair.  The minimization is a coarse scan plus
-    golden-section refinement, independent of the closed forms.
+    Conjugates each state with each effect root and takes the joint
+    probabilities ``w`` off the heights.  The repair rotation ``R(chi)``
+    about z maximizes ``sum w t.R(chi)r`` over targets ``t`` and rescaled
+    post vectors ``r``, skipping dead branches (height at most
+    ``PROBABILITY_FLOOR``).  With in-plane vectors as complex ``x + iy`` the
+    sum is ``Re(exp(i chi) m)`` with ``m = sum w conj(t) r = A - iB`` (the
+    targets have no z part), so ``chi* = atan2(B, A)`` and the optimum is
+    ``|m| = hypot(A, B)``.  ``omega`` is the angle from the target bisector
+    to the repaired one.  Returns ``(p, q, info, disturbance, omega)``, each
+    ``(n, 2)`` with one column per outcome.
     """
-    terms = []
-    if u0[0] > PROBABILITY_FLOOR:
-        terms.append((p, sc.v0[1:], u0[1:] / u0[0]))
-    if u1[0] > PROBABILITY_FLOOR:
-        terms.append((q, sc.v1[1:], u1[1:] / u1[0]))
-    if not terms:
-        return 0.0, 0.0
-
-    def objective(chi: float) -> float:
-        fooled = sum(w * float(t @ _rotate_xy(r, chi)) for w, t, r in terms)
-        return (p + q - fooled) / 2.0
-
-    chi_star, d_min = minimize_periodic(objective, samples=64, tol=1e-8)
-    target_bisector = sc.v0[1:] + sc.v1[1:]
-    repaired_bisector = sum(_rotate_xy(r, chi_star) for _, _, r in terms)
-    omega = _signed_xy_angle(target_bisector, repaired_bisector)
-    return omega, d_min
+    ones, zeros, flip = np.ones((len(c), 2)), np.zeros((len(c), 2)), np.array([1.0, -1.0])
+    x = np.outer(c, flip)
+    states = np.stack([ones, x, np.sqrt(1.0 - x * x), zeros], -1)
+    effects = np.stack([ones, np.outer(beta, flip), zeros, zeros], -1)
+    posts = sandwich(sqrt_vec(effects)[:, :, None], states[:, None])  # [i, outcome, input]
+    heights = posts[..., 0]
+    joint = heights / 2.0
+    p, q = joint[..., 0], joint[..., 1]
+    info = (p + q) + _xlog2x_array(p) + _xlog2x_array(q) - _xlog2x_array(p + q)
+    alive = heights > PROBABILITY_FLOOR
+    r = np.where(alive, posts[..., 1] + 1j * posts[..., 2], 0.0) / np.where(alive, heights, 1.0)
+    t = states[:, None, :, 1] + 1j * states[:, None, :, 2]
+    m = np.sum(joint * np.conj(t) * r, axis=-1)
+    repaired = np.sum(np.exp(-1j * np.angle(m))[..., None] * r, axis=-1)
+    omega = np.angle(repaired * np.conj(np.sum(t, axis=-1)))
+    return p, q, info, (p + q - np.abs(m)) / 2.0, omega
 
 
 def pipeline_point(c: float, beta: float) -> TradeoffPoint:
@@ -304,37 +302,20 @@ def pipeline_point(c: float, beta: float) -> TradeoffPoint:
 
     Builds the effect square roots with :func:`conal.qubit.sqrt_vec`,
     conjugates the states with :func:`conal.qubit.sandwich`, reads the
-    joint probabilities off the post-vector heights, and optimizes the
-    repair rotation numerically.  Must agree with
-    :func:`closed_form_point` to high accuracy.
+    joint probabilities off the post-vector heights, and solves the repair
+    rotation exactly as an in-plane Procrustes problem (no arcsin closed
+    form, no search).  Must agree with :func:`closed_form_point` to high
+    accuracy.
     """
     sc = make_scenario(c)
     _check_beta(beta)
+    pipe = _pipeline_arrays(np.array([c]), np.array([beta]))
+    p, q, info, dist, omega = (x[0].tolist() for x in pipe)
     outcomes = []
-    for eps in _symmetric_attack(beta):
-        root = sqrt_vec(eps)
-        u0 = sandwich(root, sc.v0)
-        u1 = sandwich(root, sc.v1)
-        p, q = u0[0] / 2.0, u1[0] / 2.0
-        info = info_contribution(p, q)
-        angles, _ = _outcome_angles(eps, sc, p, q)
-        omega, dist = _numeric_repair(p, q, sc, u0, u1)
-        outcomes.append(
-            OutcomeTradeoff(
-                p=p,
-                q=q,
-                info_bits=info,
-                disturbance=dist,
-                angles=replace(angles, omega_m=omega),
-            )
-        )
-    return TradeoffPoint(
-        c=c,
-        beta=beta,
-        info_bits=sum(o.info_bits for o in outcomes),
-        disturbance=sum(o.disturbance for o in outcomes),
-        outcomes=tuple(outcomes),
-    )
+    for m, eps in enumerate(_symmetric_attack(beta)):
+        angles = replace(_outcome_angles(eps, sc, p[m], q[m])[0], omega_m=omega[m])
+        outcomes.append(OutcomeTradeoff(p[m], q[m], info[m], dist[m], angles))
+    return TradeoffPoint(c, beta, info[0] + info[1], dist[0] + dist[1], tuple(outcomes))
 
 
 @dataclass(frozen=True)
@@ -448,21 +429,23 @@ def stationarity_check(
 def pipeline_residual(points) -> tuple[float, tuple[float, float] | None]:
     """Worst disagreement of closed-form points with the end-to-end pipeline.
 
-    Recomputes every point with :func:`pipeline_point` and returns the
-    largest ``|I|`` or ``|D|`` difference and the first ``(c, beta)`` where
-    it occurs.
+    Recomputes all points in one pass of the pipeline behind
+    :func:`pipeline_point` and returns the largest ``|I|`` or ``|D|``
+    difference and the first ``(c, beta)`` where it occurs.
     """
-
-    def residual(pt: TradeoffPoint) -> float:
-        pipe = pipeline_point(pt.c, pt.beta)
-        return max(abs(pipe.info_bits - pt.info_bits), abs(pipe.disturbance - pt.disturbance))
-
-    pairs = ((residual(pt), (pt.c, pt.beta)) for pt in points)
-    return max(pairs, key=lambda pair: pair[0], default=(0.0, None))
+    points = list(points)
+    if not points:
+        return 0.0, None
+    rows = [(pt.c, pt.beta, pt.info_bits, pt.disturbance) for pt in points]
+    c, beta, info, dist = np.array(rows).T
+    _, _, pipe_info, pipe_dist, _ = _pipeline_arrays(c, beta)
+    residual = np.maximum(np.abs(pipe_info.sum(-1) - info), np.abs(pipe_dist.sum(-1) - dist))
+    k = int(np.argmax(residual))
+    return float(residual[k]), (points[k].c, points[k].beta)
 
 
 def sweep(
-    c: float, betas, verify: bool = False, verify_tol: float = 1e-9
+    c: float, betas, verify: bool = False, verify_tol: float = VERIFY_TOL
 ) -> list[TradeoffPoint]:
     """Closed-form tradeoff points over a grid of attack strengths.
 

@@ -118,6 +118,34 @@ def test_sqrt_rejects_zero_and_indefinite():
         sqrt_vec([0, 0, 0, 2])
 
 
+def test_sqrt_and_sandwich_on_stacks_match_rows(rng, tau):
+    a = np.array([random_cone_vec(rng, tau) for _ in range(50)])
+    rho = np.array([random_cone_vec(rng, tau) for _ in range(50)])
+    roots = sqrt_vec(a)
+    posts = sandwich(a, rho)
+    assert roots.shape == posts.shape == (50, 4)
+    for k in range(50):
+        assert np.array_equal(roots[k], sqrt_vec(a[k]))
+        assert np.array_equal(posts[k], sandwich(a[k], rho[k]))
+    # Broadcasting: every root against every state.
+    grid = sandwich(roots[:5, None, :], rho[None, :7, :])
+    assert grid.shape == (5, 7, 4)
+    assert np.array_equal(grid[3, 6], sandwich(roots[3], rho[6]))
+
+
+def test_sqrt_stack_rejects_bad_rows():
+    good = np.array([[1.0, 0.2, 0.0, 0.0], [2.0, 0.0, 0.0, 1.0]])
+    with pytest.raises(ValueError, match="not the image of a PSD matrix"):
+        sqrt_vec(np.vstack([good, [0.0, 0.0, 0.0, 2.0]]))
+    with pytest.raises(ValueError, match="zero vector"):
+        sqrt_vec(np.vstack([good, np.zeros(4)]))
+    for bad in ([1.0, 2.0, 3.0], np.ones((2, 3)), 1.0):
+        with pytest.raises(ValueError, match="exactly 4 components"):
+            sqrt_vec(bad)
+        with pytest.raises(ValueError, match="exactly 4 components"):
+            sandwich(bad, [1.0, 0.0, 0.0, 0.0])
+
+
 def test_square_sqrt_against_dense(rng, tau):
     for _ in range(1000):
         a = random_cone_vec(rng, tau)

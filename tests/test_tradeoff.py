@@ -17,6 +17,7 @@ from conal.tradeoff import (
     optimal_repair,
     outcome_disturbance,
     pipeline_point,
+    pipeline_residual,
     post_angle,
     repair_objective,
     stationarity_check,
@@ -279,7 +280,43 @@ def test_pipeline_omega_magnitude_matches_formula(rng):
         pp = pipeline_point(c, beta)
         for o in pp.outcomes:
             expected, _ = optimal_repair(o.p, o.q, o.angles.delta_m / 2.0)
-            assert abs(abs(o.angles.omega_m) - abs(expected)) < 1e-6
+            assert abs(abs(o.angles.omega_m) - abs(expected)) < 1e-12
+
+
+def _pipeline_cases(rng):
+    cases = [(float(c), float(b)) for c, b in rng.uniform(0.0, 1.0, (200, 2))]
+    return cases + [(c, b) for c in (0.0, 1.0) for b in (0.0, 1e-12, 1.0 - 1e-12, 1.0)]
+
+
+def test_pipeline_disturbance_matches_exact_rotation_oracle(rng, bases):
+    # The pipeline's in-plane repair reaches the Procrustes optimum over all
+    # rotations, outcome by outcome, including the degenerate separations.
+    tau = bases[2]
+    for c, beta in _pipeline_cases(rng):
+        sc = make_scenario(c)
+        pp = pipeline_point(c, beta)
+        for o, sign in zip(pp.outcomes, (1.0, -1.0)):
+            eps = np.array([1.0, sign * beta, 0.0, 0.0])
+            assert o.disturbance == pytest.approx(
+                exact_repair_disturbance(eps, sc, tau), abs=1e-12
+            ), (c, beta)
+
+
+def test_pipeline_residual_matches_pointwise(rng):
+    points = [
+        closed_form_point(c, beta)
+        for c in (0.0, 0.3, INV_SQRT2, 0.9, 1.0)
+        for beta in (0.0, 1e-12, 0.25, 0.5, 0.75, 1.0 - 1e-12, 1.0)
+    ]
+    points += [closed_form_point(c, beta) for c, beta in _pipeline_cases(rng)]
+    pointwise = []
+    for pt in points:
+        pp = pipeline_point(pt.c, pt.beta)
+        gap = max(abs(pp.info_bits - pt.info_bits), abs(pp.disturbance - pt.disturbance))
+        pointwise.append((gap, (pt.c, pt.beta)))
+    assert pipeline_residual(points) == max(pointwise, key=lambda pair: pair[0])
+    assert pipeline_residual(iter(points[:3])) == max(pointwise[:3], key=lambda pair: pair[0])
+    assert pipeline_residual([]) == (0.0, None)
 
 
 def test_outcome_disturbance_matches_exact_rotation_oracle(rng, bases):
