@@ -45,10 +45,12 @@ from .qubit import (
 )
 from .tradeoff import (
     AngleSet,
+    ClosedFormTable,
     Scenario,
     StationarityReport,
     TradeoffPoint,
     closed_form_point,
+    closed_form_table,
     info_contribution,
     joint_probs,
     make_scenario,
@@ -96,12 +98,14 @@ __all__ = [
     "Scenario",
     "AngleSet",
     "TradeoffPoint",
+    "ClosedFormTable",
     "StationarityReport",
     "make_scenario",
     "joint_probs",
     "info_contribution",
     "post_angle",
     "optimal_repair",
+    "closed_form_table",
     "closed_form_point",
     "pipeline_point",
     "stationarity_check",

@@ -43,7 +43,7 @@ from .serialization import (
     vector_to_obj,
     write_sweep_csv,
 )
-from .tradeoff import VERIFY_TOL, pipeline_residual, sweep
+from .tradeoff import VERIFY_TOL, closed_form_table, pipeline_residual
 from .selftest import run_selftest
 
 #: Tolerance on the unit trace and the positivity of a density matrix read from input.
@@ -167,16 +167,15 @@ def _parse_grid(spec: str) -> np.ndarray:
 def _cmd_tradeoff(args) -> int:
     if not 0.0 <= args.c <= 1.0:
         raise InputFormatError(f"--c must lie in [0, 1], got {args.c}")
-    betas = _parse_grid(args.beta_grid)
-    points = sweep(args.c, betas)
+    table = closed_form_table(args.c, _parse_grid(args.beta_grid))
     if args.out == "-":
-        write_sweep_csv(points, sys.stdout, extended=args.extended)
+        write_sweep_csv(table, sys.stdout, extended=args.extended)
     else:
         with open(args.out, "w", newline="", encoding="utf-8") as f:
-            write_sweep_csv(points, f, extended=args.extended)
+            write_sweep_csv(table, f, extended=args.extended)
     if args.verify:
-        worst, (c, beta) = pipeline_residual(points)
-        if worst > args.verify_tol:
+        worst, (c, beta) = pipeline_residual(table)
+        if not worst <= args.verify_tol:
             print(
                 f"verification FAILED: worst closed-form/pipeline residual {worst:.3e} "
                 f"at c={c:.12g} beta={beta:.12g} exceeds {args.verify_tol:.1e}",

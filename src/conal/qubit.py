@@ -152,23 +152,30 @@ def post_inner_products(e, r0, r1, rescaled: bool = True):
     A vanishing outcome probability leaves the rescaled quantities
     undefined: by default that raises; with ``rescaled=False`` the
     unrescaled products are still returned and the rescaled slots are
-    ``None``.
+    ``None``.  The arguments may be broadcasting ``(..., 4)`` stacks, which
+    give arrays; single 4-vectors give floats.  A stack raises if any row
+    has a vanishing probability.
     """
-    e = _as4(e, "e")
-    r0 = _as4(r0, "r0")
-    r1 = _as4(r1, "r1")
-    d0 = float(e @ r0)
-    d1 = float(e @ r1)
-    cross = float(_eta(e, e) * _eta(r0, r1))
+    e = _as4(e, "e", stacked=True)
+    r0 = _as4(r0, "r0", stacked=True)
+    r1 = _as4(r1, "r1", stacked=True)
+    d0 = np.vecdot(e, r0)
+    d1 = np.vecdot(e, r1)
+    cross = _eta(e, e) * _eta(r0, r1)
     full4 = 0.25 * (2.0 * d0 * d1 - cross)
     bloch3 = 0.25 * (d0 * d1 - cross)
-    if d0 <= PROBABILITY_FLOOR or d1 <= PROBABILITY_FLOOR:
+    if np.count_nonzero((d0 <= PROBABILITY_FLOOR) | (d1 <= PROBABILITY_FLOOR)):
         if rescaled:
             raise ValueError("zero outcome probability: rescaled products undefined")
-        return full4, None, bloch3, None
+        return _floats(full4, None, bloch3, None)
     rescaled4 = 2.0 - cross / (d0 * d1)
     rescaled3 = 1.0 - cross / (d0 * d1)
-    return full4, rescaled4, bloch3, rescaled3
+    return _floats(full4, rescaled4, bloch3, rescaled3)
+
+
+def _floats(*values):
+    """``values`` with every 0-d entry as a Python float; arrays and ``None`` pass through."""
+    return tuple(float(v) if v is not None and np.ndim(v) == 0 else v for v in values)
 
 
 def post_norms(e, rho, rescaled: bool = True):

@@ -9,6 +9,7 @@ it must not exceed, and the input where it occurred.
 from __future__ import annotations
 
 import functools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -31,7 +32,6 @@ from . import (
     sqrt_vec,
     square_vec,
     stationarity_check,
-    sweep,
     unembed,
 )
 from .measurement import GeneralizedMeasurement
@@ -46,7 +46,7 @@ from .sampling import (
     random_pure,
     random_unitary,
 )
-from .tradeoff import VERIFY_TOL, pipeline_residual, repair_objective
+from .tradeoff import VERIFY_TOL, closed_form_table, pipeline_residual, repair_objective
 
 __all__ = ["run_selftest", "CHECKS", "CheckResult"]
 
@@ -63,18 +63,24 @@ class CheckResult(NamedTuple):
         return self.worst <= self.tol
 
 
+def _severity(pair) -> float:
+    """Ranking key of a ``(residual, where)`` pair: a NaN residual ranks above every number."""
+    return math.inf if math.isnan(pair[0]) else pair[0]
+
+
 def _check(tol: float):
     """Turn a generator of ``(residual, where)`` pairs into a check returning a CheckResult.
 
-    The first largest residual names ``argworst``; the reported worst is
-    never below zero, since negative residuals are margins of inequalities.
+    The first largest residual names ``argworst``, and a NaN is the largest
+    of all, so it is reported and fails.  A negative worst is reported as
+    zero, since negative residuals are margins of inequalities.
     """
 
     def decorate(pairs):
         @functools.wraps(pairs)
         def check(rng) -> CheckResult:
-            worst, argworst = max(pairs(rng), key=lambda pair: pair[0])
-            return CheckResult(max(0.0, worst), tol, argworst)
+            worst, argworst = max(pairs(rng), key=_severity)
+            return CheckResult(0.0 if worst < 0.0 else worst, tol, argworst)
 
         return check
 
@@ -293,8 +299,8 @@ def _check_repair(rng):
 
 @_check(VERIFY_TOL)
 def _check_tradeoff_match(rng):
-    points = [pt for c in (0.3, 1 / np.sqrt(2.0), 0.9) for pt in sweep(c, (0.0, 0.4, 0.8, 1.0))]
-    worst, (c, beta) = pipeline_residual(points)
+    c, beta = np.meshgrid((0.3, 1 / np.sqrt(2.0), 0.9), (0.0, 0.4, 0.8, 1.0), indexing="ij")
+    worst, (c, beta) = pipeline_residual(closed_form_table(c, beta))
     yield worst, {"c": c, "beta": beta}
 
 

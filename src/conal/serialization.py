@@ -10,14 +10,13 @@ are rejected on input.  All numeric output carries 12 significant digits.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 
 import numpy as np
 
 from .measurement import GeneralizedMeasurement, Povm
-from .tradeoff import TradeoffPoint
+from .tradeoff import ClosedFormTable
 
 __all__ = [
     "InputFormatError",
@@ -158,19 +157,27 @@ _EXTENDED_FIELDS = _BASE_FIELDS + [
 ]
 
 
-def write_sweep_csv(points: list[TradeoffPoint], f, extended: bool = False) -> None:
-    """Write tradeoff points as CSV with 12 significant digits per value."""
-    writer = csv.writer(f)
-    writer.writerow(_EXTENDED_FIELDS if extended else _BASE_FIELDS)
-    for pt in points:
-        row = [pt.c, pt.beta, pt.info_bits, pt.disturbance]
-        if extended:
-            for out in pt.outcomes:
-                row.extend([out.p, out.q, out.angles.omega_m, out.angles.delta_m])
-        writer.writerow(f"{x:.11e}" for x in row)
+def write_sweep_csv(table: ClosedFormTable, f, extended: bool = False) -> None:
+    """Write a closed-form table as CSV, one row per point.
+
+    Every value is written as ``%.11e`` (12 significant digits) and every
+    line ends in ``\\r\\n``; under ``extended`` each row adds
+    ``p, q, omega, delta`` of outcome 0, then of outcome 1.
+    """
+    columns = [table.c, table.beta, table.info_bits, table.disturbance]
+    if extended:
+        for m in (0, 1):
+            columns += [table.p[:, m], table.q[:, m], table.omega[:, m], table.delta[:, m]]
+    fields = _EXTENDED_FIELDS if extended else _BASE_FIELDS
+    row = ",".join(["%.11e"] * len(fields)) + "\r\n"
+    values = tuple(np.column_stack(columns).ravel().tolist())
+    f.write(",".join(fields) + "\r\n" + (row * len(table.c)) % values)
 
 
 def read_sweep_csv(f) -> list[dict[str, float]]:
-    """Read a sweep CSV back into a list of column dicts."""
-    reader = csv.DictReader(f)
-    return [{k: float(v) for k, v in row.items()} for row in reader]
+    """Read a sweep CSV (lines from a file or any iterable) back into a list of column dicts."""
+    lines = (line.rstrip("\r\n") for line in f)
+    header = next(lines).split(",")
+    return [
+        dict(zip(header, map(float, line.split(",")), strict=True)) for line in lines if line
+    ]

@@ -9,32 +9,38 @@ original state.  Information gain ``I`` is the mutual information (in bits)
 between the preparation bit and the outcome; disturbance ``D`` is the
 probability that the verification fails.
 
-Two independent evaluation routes are provided: closed forms for the
-symmetric attack family ``(1, +/-beta, 0, 0)``,
+Two independent evaluation routes are provided.  :func:`closed_form_table`
+evaluates the closed forms of the symmetric attack family
+``(1, +/-beta, 0, 0)`` over whole arrays of ``(c, beta)`` in one pass,
 
     D = 1/2 - 1/2 sqrt(1 + (c^2 - c^4)(beta^2 - 2 + 2 sqrt(1 - beta^2)))
     I = 1/2 [(1 + beta c) log2(1 + beta c) + (1 - beta c) log2(1 - beta c)]
 
-and an end-to-end array pipeline (effect square root, conjugation, exact
-Procrustes repair rotation) that must agree with them.
+in forms free of cancellation, together with the per-outcome
+probabilities, angles and repair offsets.  An end-to-end array pipeline
+(effect square root, conjugation, exact Procrustes repair rotation) must
+agree with them.  The scalar per-outcome functions accept any effect and
+share their formulas with the table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .linalg import PROBABILITY_FLOOR
 from .optimize import minimize_periodic  # noqa: F401  (clibench's tracer test reads it)
-from .qubit import post_inner_products, qubit_positive, sandwich, sqrt_vec
+from .qubit import _floats, post_inner_products, qubit_positive, sandwich, sqrt_vec
 
 __all__ = [
     "Scenario",
     "AngleSet",
     "OutcomeTradeoff",
     "TradeoffPoint",
+    "ClosedFormTable",
     "StationarityReport",
     "make_scenario",
     "joint_probs",
@@ -44,6 +50,7 @@ __all__ = [
     "repair_objective",
     "outcome_info",
     "outcome_disturbance",
+    "closed_form_table",
     "closed_form_point",
     "pipeline_point",
     "stationarity_check",
@@ -57,10 +64,50 @@ ATTACK_TOTAL = np.array([2.0, 0.0, 0.0, 0.0])
 #: Largest tolerated ``|I|`` or ``|D|`` gap between the closed forms and the pipeline.
 VERIFY_TOL = 1e-9
 
+_SIGNS = np.array([1.0, -1.0])
+
+
+def _acos(x):
+    return np.arccos(np.minimum(np.maximum(x, -1.0), 1.0))
+
+
+def _xlog2x(t: np.ndarray) -> np.ndarray:
+    """Elementwise ``t log2 t``, zero where ``t <= 0``."""
+    return t * np.log2(t, out=np.zeros_like(t), where=t > 0.0)
+
+
+def _one_branch(p, q):
+    """Whether an outcome leaves only one of its two branches (the other is below the floor)."""
+    return np.minimum(p, q) * 4.0 <= PROBABILITY_FLOOR
+
+
+def _unit_interval(x, what: str) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    bad = ~((0.0 <= x) & (x <= 1.0))
+    if np.count_nonzero(bad):
+        raise ValueError(f"{what} must lie in [0, 1], got {x[bad].flat[0]}")
+    return x
+
+
+def _pm_pairs(x, y) -> np.ndarray:
+    """The coordinate vectors ``(1, +x, y, 0)`` and ``(1, -x, y, 0)``, shape ``x.shape + (2, 4)``.
+
+    With ``y = sqrt(1 - x^2)`` they are the prepared states, with ``y = 0``
+    the symmetric attack.
+    """
+    x = np.multiply.outer(x, _SIGNS)
+    y = np.broadcast_to(np.asarray(y, dtype=float)[..., None], x.shape)
+    return np.stack([np.ones_like(x), x, y, np.zeros_like(x)], -1)
+
 
 @dataclass(frozen=True)
 class Scenario:
-    """Two equiprobable pure states parametrized by the half-separation ``c``."""
+    """Two equiprobable pure states parametrized by the half-separation ``c``.
+
+    Made from an array of ``c``, every field holds one entry per value
+    (``v0`` and ``v1`` along a last axis of length 4), and the per-outcome
+    functions broadcast over it.
+    """
 
     c: float
     s: float
@@ -70,7 +117,7 @@ class Scenario:
     @property
     def theta(self) -> float:
         """Bloch angle between the two prepared states, ``acos(1 - 2 c^2)``."""
-        return math.acos(min(1.0, max(-1.0, 1.0 - 2.0 * self.c * self.c)))
+        return _floats(_acos(1.0 - 2.0 * self.c * self.c))[0]
 
 
 @dataclass(frozen=True)
@@ -108,44 +155,67 @@ class TradeoffPoint:
     outcomes: tuple[OutcomeTradeoff, ...]
 
 
-def make_scenario(c: float) -> Scenario:
-    """Scenario for half-separation ``c`` in [0, 1]; overlap ``s = sqrt(1-c^2)``."""
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(f"half-separation must lie in [0, 1], got {c}")
-    s = math.sqrt(1.0 - c * c)
-    return Scenario(
-        c=c,
-        s=s,
-        v0=np.array([1.0, c, s, 0.0]),
-        v1=np.array([1.0, -c, s, 0.0]),
-    )
+class ClosedFormTable(NamedTuple):
+    """Closed-form tradeoff of the symmetric attack at ``n`` points ``(c, beta)``.
+
+    ``c``, ``beta``, the state angle ``theta`` and the totals ``info_bits``
+    and ``disturbance`` have shape ``(n,)``.  The per-outcome fields have
+    shape ``(n, 2)``, one column per outcome: the joint probabilities ``p``
+    and ``q``, the information and repaired disturbance contributions, the
+    angular deficit ``delta = theta - theta_m`` and the optimal bisector
+    offset ``omega``.
+    """
+
+    c: np.ndarray
+    beta: np.ndarray
+    theta: np.ndarray
+    info_bits: np.ndarray
+    disturbance: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+    outcome_info: np.ndarray
+    outcome_disturbance: np.ndarray
+    delta: np.ndarray
+    omega: np.ndarray
 
 
-def joint_probs(eps, sc: Scenario) -> tuple[float, float]:
+def make_scenario(c) -> Scenario:
+    """Scenario for half-separation ``c`` in [0, 1]; overlap ``s = sqrt(1-c^2)``.
+
+    A float gives float fields; an array of ``c`` gives a broadcasting
+    scenario with one entry per value.
+    """
+    c = _unit_interval(c, "half-separation")
+    s = np.sqrt(1.0 - c * c)
+    v0, v1 = np.moveaxis(_pm_pairs(c, s), -2, 0)
+    return Scenario(*_floats(c, s), v0, v1)
+
+
+def joint_probs(eps, sc: Scenario):
     """Joint probabilities ``p(x, m)`` of outcome ``m`` with effect vector ``eps``.
 
     With uniform priors these are ``(eps . v0) / 4`` and ``(eps . v1) / 4``.
+    ``eps`` may be a ``(..., 4)`` stack; floats come out for one effect of
+    a float scenario.
     """
     eps = np.asarray(eps, dtype=float)
-    return float(eps @ sc.v0) / 4.0, float(eps @ sc.v1) / 4.0
+    return _floats(np.vecdot(eps, sc.v0) / 4.0, np.vecdot(eps, sc.v1) / 4.0)
 
 
-def _xlog2x(t: float) -> float:
-    return t * math.log2(t) if t > 0.0 else 0.0
-
-
-def info_contribution(p: float, q: float) -> float:
+def info_contribution(p, q):
     """Mutual-information contribution (bits) of one outcome.
 
     ``I_m = -(p+q) log2(p+q) + p log2(2p) + q log2(2q)`` with the usual
     ``0 log 0 = 0`` convention.  When one branch is impossible the outcome
-    identifies the state: ``I_m = p`` for ``q = 0``.
+    identifies the state: ``I_m = p`` for ``q = 0``.  Broadcasts over
+    arrays; floats in give a float out.
     """
-    if p < 0.0 or q < 0.0:
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    if np.count_nonzero((p < 0.0) | (q < 0.0)):
         raise ValueError("joint probabilities must be nonnegative")
-    if p + q == 0.0:
+    if np.count_nonzero(p + q == 0.0):
         raise ValueError("outcome never occurs")
-    return (p + q) + _xlog2x(p) + _xlog2x(q) - _xlog2x(p + q)
+    return _floats((p + q) + _xlog2x(p) + _xlog2x(q) - _xlog2x(p + q))[0]
 
 
 def post_angle(eps, sc: Scenario) -> AngleSet:
@@ -157,7 +227,7 @@ def post_angle(eps, sc: Scenario) -> AngleSet:
     identity leaves the angle untouched.  Raises on a zero-probability branch.
     """
     cos_tm = post_inner_products(eps, sc.v0, sc.v1)[3]
-    theta, theta_m = sc.theta, math.acos(min(1.0, max(-1.0, cos_tm)))
+    theta, theta_m = sc.theta, float(_acos(cos_tm))
     return AngleSet(theta=theta, theta_m=theta_m, delta_m=theta - theta_m)
 
 
@@ -171,7 +241,7 @@ def repair_objective(p: float, q: float, delta: float, omega: float) -> float:
     return (p + q - p * math.cos(delta - omega) - q * math.cos(delta + omega)) / 2.0
 
 
-def optimal_repair(p: float, q: float, delta: float) -> tuple[float, float]:
+def optimal_repair(p, q, delta):
     """Minimize :func:`repair_objective` over the bisector offset.
 
     Returns ``(omega, d_min)`` with
@@ -181,88 +251,99 @@ def optimal_repair(p: float, q: float, delta: float) -> tuple[float, float]:
 
     valid for ``delta`` in ``[0, pi/2]``.  At the degenerate point
     ``p == q, cos(2 delta) == -1`` the objective is flat and ``omega = 0``
-    by continuity.
+    by continuity.  Broadcasts over arrays; floats in give floats out.
     """
-    if p < 0.0 or q < 0.0 or p + q <= 0.0:
+    p, q, delta = (np.asarray(x, dtype=float) for x in (p, q, delta))
+    total = p + q
+    if np.count_nonzero((p < 0.0) | (q < 0.0) | (total <= 0.0)):
         raise ValueError("need nonnegative probabilities with positive sum")
-    amp_sq = p * p + q * q + 2.0 * p * q * math.cos(2.0 * delta)
-    amp = math.sqrt(max(amp_sq, 0.0))
-    if amp <= 1e-15 * (p + q):
-        return 0.0, (p + q) / 2.0
-    arg = (p - q) * math.sin(delta) / amp
-    omega = math.asin(min(1.0, max(-1.0, arg)))
-    return omega, (p + q - amp) / 2.0
+    amp = np.sqrt(np.maximum(p * p + q * q + 2.0 * p * q * np.cos(2.0 * delta), 0.0))
+    flat = amp <= 1e-15 * total
+    arg = (p - q) * np.sin(delta) / np.where(flat, 1.0, amp)
+    omega = np.where(flat, 0.0, np.arcsin(np.minimum(np.maximum(arg, -1.0), 1.0)))
+    return _floats(omega, np.where(flat, total, total - amp) / 2.0)
 
 
-def outcome_info(eps, sc: Scenario) -> float:
-    """Information contribution (bits) of the outcome with effect ``eps``."""
-    p, q = joint_probs(eps, sc)
-    return info_contribution(p, q)
+def outcome_info(eps, sc: Scenario):
+    """Information contribution (bits) of the outcome with effect ``eps`` (broadcasts)."""
+    return info_contribution(*joint_probs(eps, sc))
 
 
-def _outcome_angles(eps, sc: Scenario, p: float, q: float) -> tuple[AngleSet, bool]:
-    """Bloch angles of the outcome with joint probabilities ``(p, q)``, and whether both occur.
+def _repair(eps, sc: Scenario):
+    """``(p, q, delta, omega, d)`` of the effects ``eps``, as arrays over the broadcast shape.
 
-    With one branch left, both post states lie on its ray (``theta_m = 0``)
-    and the exact repair puts the bisector offset at ``theta / 2``.
+    Joint probabilities, angular deficit ``theta - theta_m``, optimal
+    bisector offset and repaired disturbance.  Branches with vanishing
+    probability are perfectly repairable: with one branch left, both post
+    states lie on its ray (``theta_m = 0``) and the repair aligns the
+    survivor exactly (``omega = theta / 2``, no disturbance).
     """
-    if min(p, q) * 4.0 <= PROBABILITY_FLOOR:
-        theta = sc.theta
-        return AngleSet(theta, 0.0, theta, theta / 2.0), False
-    return post_angle(eps, sc), True
+    p, q = (np.asarray(x) for x in joint_probs(eps, sc))
+    both = ~_one_branch(p, q)
+    theta_m = np.zeros(p.shape)
+    alive = (x[both] for x in np.broadcast_arrays(eps, sc.v0, sc.v1))
+    theta_m[both] = _acos(post_inner_products(*alive)[3])
+    delta = sc.theta - theta_m
+    omega, dist = optimal_repair(p, q, delta / 2.0)
+    return p, q, delta, np.where(both, omega, sc.theta / 2.0), np.where(both, dist, 0.0)
 
 
-def _analytic_repair(eps, sc: Scenario, p: float, q: float) -> tuple[AngleSet, float]:
-    """Angles with the arcsin-optimal offset, and the repaired disturbance."""
-    angles, both = _outcome_angles(eps, sc, p, q)
-    if not both:
-        return angles, 0.0
-    omega, dist = optimal_repair(p, q, angles.delta_m / 2.0)
-    return replace(angles, omega_m=omega), dist
+def outcome_disturbance(eps, sc: Scenario):
+    """Optimally repaired disturbance contribution of the effect ``eps`` (broadcasts)."""
+    return _floats(_repair(eps, sc)[4])[0]
 
 
-def outcome_disturbance(eps, sc: Scenario) -> float:
-    """Optimally repaired disturbance contribution of the effect ``eps``.
+def closed_form_table(c, beta) -> ClosedFormTable:
+    """Tradeoff of the symmetric attack ``(1, +/-beta, 0, 0)`` in closed form.
 
-    Branches with vanishing probability are perfectly repairable, so the
-    degenerate cases reduce to aligning the surviving state exactly.
+    ``c`` and ``beta`` broadcast to one flat grid of points, each value in
+    [0, 1].  The totals use forms without cancellation, accurate in
+    relative terms down to ``beta -> 0``: with ``u = beta c``,
+    ``x = c^2 (1 - c)(1 + c) beta^4 / (1 + sqrt((1 - beta)(1 + beta)))^2``
+    and ``D = x / (2 (1 + sqrt(1 - x)))``; ``I`` is
+    ``(log1p(-u^2) + 2 u atanh(u)) / (2 ln 2)`` below ``u = 1/2`` and the
+    ``t log2 t`` form above, where ``1 - u`` is exact and ``u^2`` would
+    round ``1 - u^2`` away.  The per-outcome columns are those of
+    :func:`outcome_info` and :func:`outcome_disturbance` on the stack of
+    both effects.
     """
-    return _analytic_repair(eps, sc, *joint_probs(eps, sc))[1]
+    c = _unit_interval(c, "half-separation")
+    beta = _unit_interval(beta, "attack strength")
+    c, beta = (np.ravel(x) for x in np.broadcast_arrays(c, beta))
+    sc = make_scenario(c[:, None])
+    p, q, delta, omega, dist = _repair(_pm_pairs(beta, 0.0), sc)
 
-
-def _outcome_detail(eps, sc: Scenario) -> OutcomeTradeoff:
-    p, q = joint_probs(eps, sc)
-    info = info_contribution(p, q)
-    angles, dist = _analytic_repair(eps, sc, p, q)
-    return OutcomeTradeoff(p=p, q=q, info_bits=info, disturbance=dist, angles=angles)
-
-
-def _symmetric_attack(beta: float) -> tuple[np.ndarray, np.ndarray]:
-    return np.array([1.0, beta, 0.0, 0.0]), np.array([1.0, -beta, 0.0, 0.0])
-
-
-def _check_beta(beta: float) -> None:
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"attack strength must lie in [0, 1], got {beta}")
-
-
-def closed_form_point(c: float, beta: float) -> TradeoffPoint:
-    """Tradeoff of the symmetric attack ``(1, +/-beta, 0, 0)`` in closed form."""
-    sc = make_scenario(c)
-    _check_beta(beta)
-    radicand = 1.0 + (c**2 - c**4) * (beta**2 - 2.0 + 2.0 * math.sqrt(1.0 - beta**2))
-    disturbance = 0.5 - 0.5 * math.sqrt(max(radicand, 0.0))
     u = beta * c
-    info = 0.5 * (_xlog2x(1.0 + u) + _xlog2x(1.0 - u))
-    outcomes = tuple(_outcome_detail(eps, sc) for eps in _symmetric_attack(beta))
-    return TradeoffPoint(
-        c=c, beta=beta, info_bits=info, disturbance=disturbance, outcomes=outcomes
+    with np.errstate(divide="ignore", invalid="ignore"):
+        small_u = (np.log1p(-u * u) + 2.0 * u * np.arctanh(u)) / (2.0 * math.log(2.0))
+    info = np.where(u < 0.5, small_u, (_xlog2x(1.0 + u) + _xlog2x(1.0 - u)) / 2.0)
+    b = beta * beta / (1.0 + np.sqrt((1.0 - beta) * (1.0 + beta)))
+    x = c * c * (1.0 - c) * (1.0 + c) * b * b
+    disturbance = x / (2.0 * (1.0 + np.sqrt(1.0 - x)))
+    return ClosedFormTable(
+        c, beta, sc.theta[:, 0], info, disturbance, p, q, info_contribution(p, q), dist, delta, omega
     )
 
 
-def _xlog2x_array(t: np.ndarray) -> np.ndarray:
-    """Elementwise ``t log2 t``, zero where ``t <= 0``."""
-    return t * np.log2(t, out=np.zeros_like(t), where=t > 0.0)
+def _points(t: ClosedFormTable) -> list[TradeoffPoint]:
+    """The rows of ``t`` as :class:`TradeoffPoint` objects (``theta_m = theta - delta``)."""
+    points = []
+    # Field order: five (n,) columns, then the (n, 2) per-outcome ones.
+    for c, beta, theta, info, dist, *per_outcome in zip(*(x.tolist() for x in t)):
+        outcomes = tuple(
+            OutcomeTradeoff(p, q, i, d, AngleSet(theta, theta - delta, delta, omega))
+            for p, q, i, d, delta, omega in zip(*per_outcome)
+        )
+        points.append(TradeoffPoint(c, beta, info, dist, outcomes))
+    return points
+
+
+def closed_form_point(c: float, beta: float) -> TradeoffPoint:
+    """Tradeoff of the symmetric attack ``(1, +/-beta, 0, 0)`` in closed form.
+
+    The one row of :func:`closed_form_table` at ``(c, beta)``.
+    """
+    return _points(closed_form_table(c, beta))[0]
 
 
 def _pipeline_arrays(c: np.ndarray, beta: np.ndarray):
@@ -279,15 +360,13 @@ def _pipeline_arrays(c: np.ndarray, beta: np.ndarray):
     to the repaired one.  Returns ``(p, q, info, disturbance, omega)``, each
     ``(n, 2)`` with one column per outcome.
     """
-    ones, zeros, flip = np.ones((len(c), 2)), np.zeros((len(c), 2)), np.array([1.0, -1.0])
-    x = np.outer(c, flip)
-    states = np.stack([ones, x, np.sqrt(1.0 - x * x), zeros], -1)
-    effects = np.stack([ones, np.outer(beta, flip), zeros, zeros], -1)
-    posts = sandwich(sqrt_vec(effects)[:, :, None], states[:, None])  # [i, outcome, input]
+    sc = make_scenario(c)
+    states = np.stack([sc.v0, sc.v1], -2)
+    posts = sandwich(sqrt_vec(_pm_pairs(beta, 0.0))[:, :, None], states[:, None])  # [i, outcome, input]
     heights = posts[..., 0]
     joint = heights / 2.0
     p, q = joint[..., 0], joint[..., 1]
-    info = (p + q) + _xlog2x_array(p) + _xlog2x_array(q) - _xlog2x_array(p + q)
+    info = (p + q) + _xlog2x(p) + _xlog2x(q) - _xlog2x(p + q)
     alive = heights > PROBABILITY_FLOOR
     r = np.where(alive, posts[..., 1] + 1j * posts[..., 2], 0.0) / np.where(alive, heights, 1.0)
     t = states[:, None, :, 1] + 1j * states[:, None, :, 2]
@@ -304,18 +383,17 @@ def pipeline_point(c: float, beta: float) -> TradeoffPoint:
     conjugates the states with :func:`conal.qubit.sandwich`, reads the
     joint probabilities off the post-vector heights, and solves the repair
     rotation exactly as an in-plane Procrustes problem (no arcsin closed
-    form, no search).  Must agree with :func:`closed_form_point` to high
-    accuracy.
+    form, no search).  Only the angles ``theta`` and ``delta`` are taken
+    from :func:`closed_form_table`.  Must agree with
+    :func:`closed_form_point` to high accuracy.
     """
-    sc = make_scenario(c)
-    _check_beta(beta)
-    pipe = _pipeline_arrays(np.array([c]), np.array([beta]))
-    p, q, info, dist, omega = (x[0].tolist() for x in pipe)
-    outcomes = []
-    for m, eps in enumerate(_symmetric_attack(beta)):
-        angles = replace(_outcome_angles(eps, sc, p[m], q[m])[0], omega_m=omega[m])
-        outcomes.append(OutcomeTradeoff(p[m], q[m], info[m], dist[m], angles))
-    return TradeoffPoint(c, beta, info[0] + info[1], dist[0] + dist[1], tuple(outcomes))
+    closed = closed_form_table(c, beta)
+    p, q, info, dist, omega = _pipeline_arrays(closed.c, closed.beta)
+    pipe = closed._replace(
+        info_bits=info.sum(-1), disturbance=dist.sum(-1), p=p, q=q,
+        outcome_info=info, outcome_disturbance=dist, omega=omega,
+    )
+    return _points(pipe)[0]
 
 
 @dataclass(frozen=True)
@@ -345,12 +423,10 @@ def _in_cone_pair(eps0: np.ndarray) -> bool:
 
 
 def _central_gradient(f, x: np.ndarray, h: float) -> np.ndarray:
-    g = np.zeros(len(x))
-    for mu in range(len(x)):
-        step = np.zeros(len(x))
-        step[mu] = h
-        g[mu] = (f(x + step) - f(x - step)) / (2.0 * h)
-    return g
+    """Central differences of ``f`` at ``x``, from one call of ``f`` on the stack of all probes."""
+    steps = h * np.eye(len(x))
+    plus, minus = np.split(f(np.concatenate([x + steps, x - steps])), 2)
+    return (plus - minus) / (2.0 * h)
 
 
 def stationarity_check(
@@ -372,7 +448,7 @@ def stationarity_check(
     if not 0.0 < beta < 1.0:
         raise ValueError("stationarity is checked at interior attack strengths")
     sc = make_scenario(c)
-    eps0, eps1 = _symmetric_attack(beta)
+    eps0, eps1 = _pm_pairs(beta, 0.0)
 
     step = h
     for _ in range(60):
@@ -426,22 +502,23 @@ def stationarity_check(
     )
 
 
-def pipeline_residual(points) -> tuple[float, tuple[float, float] | None]:
-    """Worst disagreement of closed-form points with the end-to-end pipeline.
+def pipeline_residual(table: ClosedFormTable) -> tuple[float, tuple[float, float] | None]:
+    """Worst disagreement of a closed-form table with the end-to-end pipeline.
 
-    Recomputes all points in one pass of the pipeline behind
+    Recomputes every row in one pass of the pipeline behind
     :func:`pipeline_point` and returns the largest ``|I|`` or ``|D|``
-    difference and the first ``(c, beta)`` where it occurs.
+    difference and the first ``(c, beta)`` where it occurs; a NaN counts
+    as the worst.
     """
-    points = list(points)
-    if not points:
+    if not len(table.c):
         return 0.0, None
-    rows = [(pt.c, pt.beta, pt.info_bits, pt.disturbance) for pt in points]
-    c, beta, info, dist = np.array(rows).T
-    _, _, pipe_info, pipe_dist, _ = _pipeline_arrays(c, beta)
-    residual = np.maximum(np.abs(pipe_info.sum(-1) - info), np.abs(pipe_dist.sum(-1) - dist))
+    _, _, pipe_info, pipe_dist, _ = _pipeline_arrays(table.c, table.beta)
+    residual = np.maximum(
+        np.abs(pipe_info.sum(-1) - table.info_bits),
+        np.abs(pipe_dist.sum(-1) - table.disturbance),
+    )
     k = int(np.argmax(residual))
-    return float(residual[k]), (points[k].c, points[k].beta)
+    return float(residual[k]), (float(table.c[k]), float(table.beta[k]))
 
 
 def sweep(
@@ -449,16 +526,17 @@ def sweep(
 ) -> list[TradeoffPoint]:
     """Closed-form tradeoff points over a grid of attack strengths.
 
-    With ``verify=True`` every point is recomputed through the end-to-end
-    pipeline and a disagreement beyond ``verify_tol`` raises, naming the
-    worst ``(c, beta)``.
+    One :func:`closed_form_table` call over all ``betas``.  With
+    ``verify=True`` every point is recomputed through the end-to-end
+    pipeline and a disagreement beyond ``verify_tol`` (or a NaN) raises,
+    naming the worst ``(c, beta)``.
     """
-    points = [closed_form_point(c, float(b)) for b in betas]
+    table = closed_form_table(c, betas)
     if verify:
-        worst, where = pipeline_residual(points)
-        if worst > verify_tol:
+        worst, where = pipeline_residual(table)
+        if not worst <= verify_tol:
             raise ValueError(
                 f"closed form and pipeline disagree: worst residual {worst:.3e} "
                 f"at c={where[0]:.12g} beta={where[1]:.12g}"
             )
-    return points
+    return _points(table)

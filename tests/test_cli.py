@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from conal import selftest
+from conal import selftest, tradeoff
 from conal.cli import main
 from conal.serialization import read_sweep_csv
 
@@ -244,3 +244,25 @@ def test_selftest_failure_names_worst_input(capsys, monkeypatch):
     pattern = rf"FAIL {name} +residual \S+ \(tol -1\.0e\+00\) at c=\S+ beta=\S+"
     assert re.fullmatch(pattern, fails[0]), fails[0]
     assert out.splitlines()[-1] == "18 passed, 1 failed"
+
+
+def _nan_pipeline(monkeypatch):
+    """Make the pipeline return a NaN information value for the second point."""
+    real = tradeoff._pipeline_arrays
+
+    def broken(c, beta):
+        p, q, info, dist, omega = real(c, beta)
+        info = info.copy()
+        info[1, 0] = np.nan
+        return p, q, info, dist, omega
+
+    monkeypatch.setattr(tradeoff, "_pipeline_arrays", broken)
+
+
+def test_tradeoff_verify_nan_residual_exits_one(capsys, monkeypatch):
+    _nan_pipeline(monkeypatch)
+    code, _, err = run_cli(
+        capsys, "tradeoff", "--c", "0.5", "--beta-grid", "0:1:3", "--verify"
+    )
+    assert code == 1
+    assert "verification FAILED: worst closed-form/pipeline residual nan at c=0.5 beta=0.5" in err

@@ -1,3 +1,4 @@
+import csv
 import io
 
 import numpy as np
@@ -16,7 +17,7 @@ from conal.serialization import (
     vector_to_obj,
     write_sweep_csv,
 )
-from conal.tradeoff import closed_form_point
+from conal.tradeoff import ClosedFormTable, closed_form_point, closed_form_table
 
 
 def test_matrix_round_trip(rng):
@@ -98,9 +99,10 @@ def test_measurement_from_obj_requires_exactly_one_kind():
 
 
 def test_sweep_csv_round_trip():
-    points = [closed_form_point(0.7, b) for b in np.linspace(0.0, 1.0, 7)]
+    betas = np.linspace(0.0, 1.0, 7)
+    points = [closed_form_point(0.7, b) for b in betas]
     buf = io.StringIO()
-    write_sweep_csv(points, buf)
+    write_sweep_csv(closed_form_table(0.7, betas), buf)
     buf.seek(0)
     rows = read_sweep_csv(buf)
     assert [r["beta"] for r in rows] == pytest.approx(
@@ -115,7 +117,7 @@ def test_sweep_csv_round_trip():
 def test_sweep_csv_extended_columns():
     points = [closed_form_point(0.6, 0.5)]
     buf = io.StringIO()
-    write_sweep_csv(points, buf, extended=True)
+    write_sweep_csv(closed_form_table(0.6, 0.5), buf, extended=True)
     buf.seek(0)
     rows = read_sweep_csv(buf)
     row = rows[0]
@@ -128,3 +130,44 @@ def test_sweep_csv_extended_columns():
     assert row["p0"] == pytest.approx(pt.outcomes[0].p, abs=1e-11)
     assert row["omega1"] == pytest.approx(pt.outcomes[1].angles.omega_m, abs=1e-11)
     assert row["delta0"] == pytest.approx(pt.outcomes[0].angles.delta_m, abs=1e-11)
+
+
+def _csv_module_oracle(table, extended):
+    """The sweep CSV as ``csv.writer`` writes ``f"{x:.11e}"`` cells."""
+    header = ["c", "beta", "I_bits", "D"]
+    if extended:
+        header += ["p0", "q0", "omega0", "delta0", "p1", "q1", "omega1", "delta1"]
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for i in range(len(table.c)):
+        row = [table.c[i], table.beta[i], table.info_bits[i], table.disturbance[i]]
+        if extended:
+            for m in (0, 1):
+                row += [table.p[i, m], table.q[i, m], table.omega[i, m], table.delta[i, m]]
+        writer.writerow(f"{x:.11e}" for x in row)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("extended", [False, True])
+def test_sweep_csv_matches_csv_module_oracle(extended):
+    c = np.repeat([0.0, 0.3, 1.0 / np.sqrt(2.0), 1.0], 11)
+    table = closed_form_table(c, np.tile(np.linspace(0.0, 1.0, 11), 4))
+    # Signed zeros, extreme magnitudes and non-finite values in every column.
+    specials = np.array([-0.0, 0.0, 5e-324, -1.5e300, 0.1, -2.5e-7, np.inf, np.nan])
+
+    def extend(x):
+        tail = specials.reshape(-1, *[1] * (x.ndim - 1))
+        return np.concatenate([x, np.broadcast_to(tail, (len(specials), *x.shape[1:]))])
+
+    table = ClosedFormTable(*map(extend, table))
+    buf = io.StringIO()
+    write_sweep_csv(table, buf, extended=extended)
+    text = buf.getvalue()
+    assert text == _csv_module_oracle(table, extended)
+    assert text.count("\r\n") == len(table.c) + 1 and text.endswith("\r\n")
+    assert "-0.00000000000e+00" in text
+    empty = closed_form_table(0.5, [])
+    buf = io.StringIO()
+    write_sweep_csv(empty, buf, extended=extended)
+    assert buf.getvalue() == _csv_module_oracle(empty, extended)

@@ -1,21 +1,26 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from conal import tradeoff
 from conal.basis import embed, unembed
-from conal.linalg import sqrt_psd
+from conal.linalg import PROBABILITY_FLOOR, sqrt_psd
 from conal.optimize import golden_section
 from conal.qubit import minkowski4, qubit_positive
 from conal.sampling import random_psd
 from conal.tradeoff import (
     ATTACK_TOTAL,
+    ClosedFormTable,
     closed_form_point,
+    closed_form_table,
     info_contribution,
     joint_probs,
     make_scenario,
     optimal_repair,
     outcome_disturbance,
+    outcome_info,
     pipeline_point,
     pipeline_residual,
     post_angle,
@@ -303,20 +308,22 @@ def test_pipeline_disturbance_matches_exact_rotation_oracle(rng, bases):
 
 
 def test_pipeline_residual_matches_pointwise(rng):
-    points = [
-        closed_form_point(c, beta)
+    cases = [
+        (c, beta)
         for c in (0.0, 0.3, INV_SQRT2, 0.9, 1.0)
         for beta in (0.0, 1e-12, 0.25, 0.5, 0.75, 1.0 - 1e-12, 1.0)
     ]
-    points += [closed_form_point(c, beta) for c, beta in _pipeline_cases(rng)]
+    cases += _pipeline_cases(rng)
+    table = closed_form_table(*np.array(cases).T)
     pointwise = []
-    for pt in points:
-        pp = pipeline_point(pt.c, pt.beta)
+    for c, beta in cases:
+        pt, pp = closed_form_point(c, beta), pipeline_point(c, beta)
         gap = max(abs(pp.info_bits - pt.info_bits), abs(pp.disturbance - pt.disturbance))
-        pointwise.append((gap, (pt.c, pt.beta)))
-    assert pipeline_residual(points) == max(pointwise, key=lambda pair: pair[0])
-    assert pipeline_residual(iter(points[:3])) == max(pointwise[:3], key=lambda pair: pair[0])
-    assert pipeline_residual([]) == (0.0, None)
+        pointwise.append((gap, (c, beta)))
+    assert pipeline_residual(table) == max(pointwise, key=lambda pair: pair[0])
+    head = ClosedFormTable(*(x[:3] for x in table))
+    assert pipeline_residual(head) == max(pointwise[:3], key=lambda pair: pair[0])
+    assert pipeline_residual(closed_form_table(0.5, [])) == (0.0, None)
 
 
 def test_outcome_disturbance_matches_exact_rotation_oracle(rng, bases):
@@ -434,3 +441,113 @@ def test_sweep_verify_mode():
     assert len(points) == 5
     with pytest.raises(ValueError, match=r"worst residual \S+ at c=0\.5 beta=\S+$"):
         sweep(0.5, np.linspace(0.0, 1.0, 5), verify=True, verify_tol=1e-30)
+
+
+def test_sweep_verify_rejects_nan_residual(monkeypatch):
+    # NaN compares false with any tolerance; the gate must still fail.
+    real = tradeoff._pipeline_arrays
+
+    def broken(c, beta):
+        p, q, info, dist, omega = real(c, beta)
+        dist = dist.copy()
+        dist[2, 1] = np.nan
+        return p, q, info, dist, omega
+
+    monkeypatch.setattr(tradeoff, "_pipeline_arrays", broken)
+    with pytest.raises(ValueError, match=r"worst residual nan at c=0\.5 beta=0\.5$"):
+        sweep(0.5, np.linspace(0.0, 1.0, 5), verify=True)
+
+
+def test_closed_forms_relative_accuracy_against_mpmath():
+    # Reference: the textbook forms (which cancel catastrophically in
+    # floating point) evaluated exactly enough at 120 digits, from the
+    # binary values of c and beta.
+    mp = pytest.importorskip("mpmath")
+    betas = np.geomspace(1e-8, 1.0, 41)
+    for c in (1e-4, 0.1, 0.5, INV_SQRT2, 0.9, 1.0 - 1e-12):
+        table = closed_form_table(c, betas)
+        for beta, info, dist in zip(betas, table.info_bits, table.disturbance):
+            with mp.workdps(120):
+                C, B = mp.mpf(c), mp.mpf(float(beta))
+                u = B * C
+                ref_info = ((1 + u) * mp.log(1 + u) + (1 - u) * mp.log(1 - u)) / (2 * mp.log(2))
+                ref_dist = (1 - mp.sqrt(1 + (C**2 - C**4) * (B**2 - 2 + 2 * mp.sqrt(1 - B**2)))) / 2
+                rel_info = float(abs(info - ref_info) / ref_info)
+                rel_dist = float(abs(dist - ref_dist) / ref_dist)
+            assert rel_info <= 2e-15, (c, beta, rel_info)
+            assert rel_dist <= 2e-15, (c, beta, rel_dist)
+
+
+def test_closed_form_table_rows_match_scalar_functions(rng):
+    cases = _pipeline_cases(rng)
+    table = closed_form_table(*np.array(cases).T)
+    for i, (c, beta) in enumerate(cases):
+        sc = make_scenario(c)
+        assert table.theta[i] == sc.theta
+        for m, eps in enumerate((np.array([1.0, beta, 0.0, 0.0]), np.array([1.0, -beta, 0.0, 0.0]))):
+            p, q = joint_probs(eps, sc)
+            assert (table.p[i, m], table.q[i, m]) == (p, q)
+            assert table.outcome_info[i, m] == pytest.approx(outcome_info(eps, sc), abs=1e-16)
+            assert table.outcome_disturbance[i, m] == pytest.approx(
+                outcome_disturbance(eps, sc), abs=1e-16
+            )
+            if min(p, q) * 4.0 <= PROBABILITY_FLOOR:
+                assert table.delta[i, m] == sc.theta
+                assert table.omega[i, m] == sc.theta / 2.0
+                assert table.outcome_disturbance[i, m] == 0.0
+                continue
+            angles = post_angle(eps, sc)
+            omega, dist = optimal_repair(p, q, angles.delta_m / 2.0)
+            assert table.delta[i, m] == pytest.approx(angles.delta_m, abs=1e-15)
+            assert table.omega[i, m] == pytest.approx(omega, abs=1e-15)
+            assert table.outcome_disturbance[i, m] == pytest.approx(dist, abs=1e-16)
+
+
+@pytest.mark.parametrize(
+    "c,beta,message",
+    [
+        (1.2, 0.5, "half-separation must lie in [0, 1], got 1.2"),
+        (-0.1, 0.5, "half-separation must lie in [0, 1], got -0.1"),
+        (math.nan, 0.5, "half-separation must lie in [0, 1], got nan"),
+        (0.5, -0.2, "attack strength must lie in [0, 1], got -0.2"),
+        (0.5, 1.5, "attack strength must lie in [0, 1], got 1.5"),
+        (0.5, [0.2, 1.25, -1.0], "attack strength must lie in [0, 1], got 1.25"),
+        ([0.3, 2.0], [-1.0, 0.5], "half-separation must lie in [0, 1], got 2.0"),
+    ],
+)
+def test_closed_form_table_rejects_out_of_range(c, beta, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        closed_form_table(c, beta)
+
+
+def test_closed_form_table_broadcasts_and_matches_points():
+    betas = np.linspace(0.0, 1.0, 7)
+    table = closed_form_table(0.6, betas)
+    assert table.c.shape == table.info_bits.shape == (7,)
+    assert table.p.shape == table.omega.shape == (7, 2)
+    assert closed_form_table(0.6, 0.5).c.shape == (1,)
+    assert closed_form_table(0.6, []).p.shape == (0, 2)
+    for beta, pt in zip(betas, sweep(0.6, betas)):
+        assert pt == closed_form_point(0.6, float(beta))
+
+
+def test_per_outcome_functions_broadcast(rng):
+    # Arrays in give the elementwise scalar results; floats in give floats.
+    p, q = rng.uniform(0.0, 0.5, (2, 100))
+    delta = rng.uniform(0.0, 1.5, 100)
+    info = info_contribution(p, q)
+    omega, dist = optimal_repair(p, q, delta)
+    for i in range(100):
+        scalar_info = info_contribution(float(p[i]), float(q[i]))
+        scalar_omega, scalar_dist = optimal_repair(float(p[i]), float(q[i]), float(delta[i]))
+        assert type(scalar_info) is type(scalar_omega) is type(scalar_dist) is float
+        assert info[i] == pytest.approx(scalar_info, abs=1e-16)
+        assert omega[i] == pytest.approx(scalar_omega, abs=1e-15)
+        assert dist[i] == pytest.approx(scalar_dist, abs=1e-16)
+    sc = make_scenario(0.4)
+    effects = np.array([[1.0, 0.3, 0.1, -0.2], [1.0, 1.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]])
+    stacked_info = outcome_info(effects, sc)
+    stacked_dist = outcome_disturbance(effects, sc)
+    for eps, i, d in zip(effects, stacked_info, stacked_dist):
+        assert i == pytest.approx(outcome_info(eps, sc), abs=1e-16)
+        assert d == pytest.approx(outcome_disturbance(eps, sc), abs=1e-16)
