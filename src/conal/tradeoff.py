@@ -283,9 +283,10 @@ def _repair(eps, sc: Scenario):
     theta_m = np.zeros(p.shape)
     alive = (x[both] for x in np.broadcast_arrays(eps, sc.v0, sc.v1))
     theta_m[both] = _acos(post_inner_products(*alive)[3])
-    delta = sc.theta - theta_m
+    theta = sc.theta
+    delta = theta - theta_m
     omega, dist = optimal_repair(p, q, delta / 2.0)
-    return p, q, delta, np.where(both, omega, sc.theta / 2.0), np.where(both, dist, 0.0)
+    return p, q, delta, np.where(both, omega, theta / 2.0), np.where(both, dist, 0.0)
 
 
 def outcome_disturbance(eps, sc: Scenario):
