@@ -285,10 +285,9 @@ def _check_measurement_statistics(rng):
 
 @_check(1e-6)
 def _check_repair(rng):
-    for _ in range(100):
-        p, q = rng.uniform(0.02, 0.5, 2)
-        delta = rng.uniform(0.0, 1.5)
-        omega, d_min = optimal_repair(p, q, delta)
+    samples = [(*rng.uniform(0.02, 0.5, 2), rng.uniform(0.0, 1.5)) for _ in range(100)]
+    omegas, d_mins = optimal_repair(*np.array(samples).T)
+    for (p, q, delta), omega, d_min in zip(samples, omegas, d_mins):
         w_num, d_num = golden_section(
             lambda w: repair_objective(p, q, delta, w), -np.pi / 2, np.pi / 2, 1e-9
         )
