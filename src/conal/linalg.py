@@ -1,4 +1,8 @@
-"""Eigenvalue predicates and factorizations for hermitian and complex matrices."""
+"""Eigenvalue predicates and factorizations for hermitian and complex matrices.
+
+Also the two array conventions shared by the broadcasting vector modules:
+row-wise dot products over ``(..., n)`` stacks and floats out for scalars in.
+"""
 
 from __future__ import annotations
 
@@ -10,6 +14,8 @@ __all__ = [
     "is_positive",
     "sqrt_psd",
     "polar_decompose",
+    "dot_last",
+    "as_floats",
 ]
 
 #: Eigenvalues above this (negative) floor count as zero in PSD checks.
@@ -76,3 +82,17 @@ def polar_decompose(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     U = W @ Vh
     P = (Vh.conj().T * s) @ Vh
     return U, P
+
+
+def dot_last(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis of two broadcasting ``(..., n)`` stacks.
+
+    Each row is ``u_row @ v_row`` bit for bit (``np.vecdot`` does the same
+    but needs NumPy 2).
+    """
+    return np.matmul(u[..., None, :], v[..., :, None])[..., 0, 0]
+
+
+def as_floats(*values) -> tuple:
+    """``values`` with every 0-d entry as a Python float; arrays and ``None`` pass through."""
+    return tuple(float(v) if v is not None and np.ndim(v) == 0 else v for v in values)

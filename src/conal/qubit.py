@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cone import DEFAULT_GEOM_TOL
-from .linalg import PROBABILITY_FLOOR
+from .linalg import PROBABILITY_FLOOR, as_floats, dot_last
 
 __all__ = [
     "minkowski4",
@@ -159,23 +159,18 @@ def post_inner_products(e, r0, r1, rescaled: bool = True):
     e = _as4(e, "e", stacked=True)
     r0 = _as4(r0, "r0", stacked=True)
     r1 = _as4(r1, "r1", stacked=True)
-    d0 = np.vecdot(e, r0)
-    d1 = np.vecdot(e, r1)
+    d0 = dot_last(e, r0)
+    d1 = dot_last(e, r1)
     cross = _eta(e, e) * _eta(r0, r1)
     full4 = 0.25 * (2.0 * d0 * d1 - cross)
     bloch3 = 0.25 * (d0 * d1 - cross)
     if np.count_nonzero((d0 <= PROBABILITY_FLOOR) | (d1 <= PROBABILITY_FLOOR)):
         if rescaled:
             raise ValueError("zero outcome probability: rescaled products undefined")
-        return _floats(full4, None, bloch3, None)
+        return as_floats(full4, None, bloch3, None)
     rescaled4 = 2.0 - cross / (d0 * d1)
     rescaled3 = 1.0 - cross / (d0 * d1)
-    return _floats(full4, rescaled4, bloch3, rescaled3)
-
-
-def _floats(*values):
-    """``values`` with every 0-d entry as a Python float; arrays and ``None`` pass through."""
-    return tuple(float(v) if v is not None and np.ndim(v) == 0 else v for v in values)
+    return as_floats(full4, rescaled4, bloch3, rescaled3)
 
 
 def post_norms(e, rho, rescaled: bool = True):

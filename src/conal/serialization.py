@@ -10,6 +10,7 @@ are rejected on input.  All numeric output carries 12 significant digits.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 
@@ -175,9 +176,6 @@ def write_sweep_csv(table: ClosedFormTable, f, extended: bool = False) -> None:
 
 
 def read_sweep_csv(f) -> list[dict[str, float]]:
-    """Read a sweep CSV (lines from a file or any iterable) back into a list of column dicts."""
-    lines = (line.rstrip("\r\n") for line in f)
-    header = next(lines).split(",")
-    return [
-        dict(zip(header, map(float, line.split(",")), strict=True)) for line in lines if line
-    ]
+    """Read a sweep CSV back into a list of column dicts."""
+    reader = csv.DictReader(f)
+    return [{k: float(v) for k, v in row.items()} for row in reader]

@@ -31,9 +31,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import PROBABILITY_FLOOR
+from .linalg import PROBABILITY_FLOOR, as_floats, dot_last
 from .optimize import minimize_periodic  # noqa: F401  (clibench's tracer test reads it)
-from .qubit import _floats, post_inner_products, qubit_positive, sandwich, sqrt_vec
+from .qubit import post_inner_products, qubit_positive, sandwich, sqrt_vec
 
 __all__ = [
     "Scenario",
@@ -109,15 +109,15 @@ class Scenario:
     functions broadcast over it.
     """
 
-    c: float
-    s: float
+    c: float | np.ndarray
+    s: float | np.ndarray
     v0: np.ndarray
     v1: np.ndarray
 
     @property
-    def theta(self) -> float:
+    def theta(self) -> float | np.ndarray:
         """Bloch angle between the two prepared states, ``acos(1 - 2 c^2)``."""
-        return _floats(_acos(1.0 - 2.0 * self.c * self.c))[0]
+        return as_floats(_acos(1.0 - 2.0 * self.c * self.c))[0]
 
 
 @dataclass(frozen=True)
@@ -188,7 +188,7 @@ def make_scenario(c) -> Scenario:
     c = _unit_interval(c, "half-separation")
     s = np.sqrt(1.0 - c * c)
     v0, v1 = np.moveaxis(_pm_pairs(c, s), -2, 0)
-    return Scenario(*_floats(c, s), v0, v1)
+    return Scenario(*as_floats(c, s), v0, v1)
 
 
 def joint_probs(eps, sc: Scenario):
@@ -199,7 +199,7 @@ def joint_probs(eps, sc: Scenario):
     a float scenario.
     """
     eps = np.asarray(eps, dtype=float)
-    return _floats(np.vecdot(eps, sc.v0) / 4.0, np.vecdot(eps, sc.v1) / 4.0)
+    return as_floats(dot_last(eps, sc.v0) / 4.0, dot_last(eps, sc.v1) / 4.0)
 
 
 def info_contribution(p, q):
@@ -215,7 +215,7 @@ def info_contribution(p, q):
         raise ValueError("joint probabilities must be nonnegative")
     if np.count_nonzero(p + q == 0.0):
         raise ValueError("outcome never occurs")
-    return _floats((p + q) + _xlog2x(p) + _xlog2x(q) - _xlog2x(p + q))[0]
+    return as_floats((p + q) + _xlog2x(p) + _xlog2x(q) - _xlog2x(p + q))[0]
 
 
 def post_angle(eps, sc: Scenario) -> AngleSet:
@@ -261,7 +261,7 @@ def optimal_repair(p, q, delta):
     flat = amp <= 1e-15 * total
     arg = (p - q) * np.sin(delta) / np.where(flat, 1.0, amp)
     omega = np.where(flat, 0.0, np.arcsin(np.minimum(np.maximum(arg, -1.0), 1.0)))
-    return _floats(omega, np.where(flat, total, total - amp) / 2.0)
+    return as_floats(omega, np.where(flat, total, total - amp) / 2.0)
 
 
 def outcome_info(eps, sc: Scenario):
@@ -269,29 +269,37 @@ def outcome_info(eps, sc: Scenario):
     return info_contribution(*joint_probs(eps, sc))
 
 
+def _deficit(eps, sc: Scenario, p: np.ndarray, q: np.ndarray):
+    """Angular deficit ``theta - theta_m`` of the effects ``eps`` with joint probabilities ``(p, q)``.
+
+    Also returns where both branches survive.  With one branch left, both
+    post states lie on its ray, so ``theta_m = 0``.
+    """
+    both = ~_one_branch(p, q)
+    theta_m = np.zeros(p.shape)
+    alive = (x[both] for x in np.broadcast_arrays(eps, sc.v0, sc.v1))
+    theta_m[both] = _acos(post_inner_products(*alive)[3])
+    return sc.theta - theta_m, both
+
+
 def _repair(eps, sc: Scenario):
     """``(p, q, delta, omega, d)`` of the effects ``eps``, as arrays over the broadcast shape.
 
     Joint probabilities, angular deficit ``theta - theta_m``, optimal
     bisector offset and repaired disturbance.  Branches with vanishing
-    probability are perfectly repairable: with one branch left, both post
-    states lie on its ray (``theta_m = 0``) and the repair aligns the
-    survivor exactly (``omega = theta / 2``, no disturbance).
+    probability are perfectly repairable: the repair aligns the survivor
+    exactly (``omega = theta / 2``, no disturbance), and they never reach
+    :func:`optimal_repair`.
     """
     p, q = (np.asarray(x) for x in joint_probs(eps, sc))
-    both = ~_one_branch(p, q)
-    theta_m = np.zeros(p.shape)
-    alive = (x[both] for x in np.broadcast_arrays(eps, sc.v0, sc.v1))
-    theta_m[both] = _acos(post_inner_products(*alive)[3])
-    theta = sc.theta
-    delta = theta - theta_m
-    omega, dist = optimal_repair(p, q, delta / 2.0)
-    return p, q, delta, np.where(both, omega, theta / 2.0), np.where(both, dist, 0.0)
+    delta, both = _deficit(eps, sc, p, q)
+    omega, dist = optimal_repair(np.where(both, p, 1.0), np.where(both, q, 1.0), delta / 2.0)
+    return p, q, delta, np.where(both, omega, sc.theta / 2.0), np.where(both, dist, 0.0)
 
 
 def outcome_disturbance(eps, sc: Scenario):
     """Optimally repaired disturbance contribution of the effect ``eps`` (broadcasts)."""
-    return _floats(_repair(eps, sc)[4])[0]
+    return as_floats(_repair(eps, sc)[4])[0]
 
 
 def closed_form_table(c, beta) -> ClosedFormTable:
@@ -384,16 +392,16 @@ def pipeline_point(c: float, beta: float) -> TradeoffPoint:
     conjugates the states with :func:`conal.qubit.sandwich`, reads the
     joint probabilities off the post-vector heights, and solves the repair
     rotation exactly as an in-plane Procrustes problem (no arcsin closed
-    form, no search).  Only the angles ``theta`` and ``delta`` are taken
-    from :func:`closed_form_table`.  Must agree with
-    :func:`closed_form_point` to high accuracy.
+    form, no search).  The angular deficits come from the post-measurement
+    angle of :func:`post_angle`.  Must agree with :func:`closed_form_point`
+    to high accuracy.
     """
-    closed = closed_form_table(c, beta)
-    p, q, info, dist, omega = _pipeline_arrays(closed.c, closed.beta)
-    pipe = closed._replace(
-        info_bits=info.sum(-1), disturbance=dist.sum(-1), p=p, q=q,
-        outcome_info=info, outcome_disturbance=dist, omega=omega,
-    )
+    sc = make_scenario(c)
+    c, beta = np.array([sc.c]), np.array([_unit_interval(beta, "attack strength")])
+    p, q, info, dist, omega = _pipeline_arrays(c, beta)
+    delta, _ = _deficit(_pm_pairs(beta, 0.0), sc, p, q)
+    theta = np.array([sc.theta])
+    pipe = ClosedFormTable(c, beta, theta, info.sum(-1), dist.sum(-1), p, q, info, dist, delta, omega)
     return _points(pipe)[0]
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conal.linalg import is_positive, polar_decompose, sqrt_psd
+from conal.linalg import as_floats, dot_last, is_positive, polar_decompose, sqrt_psd
 from conal.sampling import random_complex, random_hermitian, random_psd, random_unitary
 
 Z = np.diag([1.0, -1.0])
@@ -96,3 +96,23 @@ def test_trace_of_positive_products(d, rng):
         A = random_hermitian(rng, d)
         assert np.trace(B @ C).real >= -1e-10
         assert np.trace(B @ A @ B @ A).real >= -1e-10
+
+
+def test_dot_last_rows_equal_matmul_bitwise(rng):
+    scale = 10.0 ** rng.uniform(-8.0, 8.0, (500, 1, 4))
+    u = rng.standard_normal((500, 3, 4)) * scale
+    v = rng.standard_normal((500, 1, 4)) * scale[..., ::-1]
+    rows = dot_last(u, v)
+    assert rows.shape == (500, 3)
+    for i in range(500):
+        for k in range(3):
+            assert rows[i, k] == u[i, k] @ v[i, 0]
+    assert dot_last(u[0, 0], v[0, 0]).shape == ()
+    assert dot_last(u[:0], v[:0]).shape == (0, 3)
+
+
+def test_as_floats_converts_only_0d_values():
+    a = np.arange(3.0)
+    out = as_floats(np.float64(1.5), np.array(2.0), 3, a, None)
+    assert out[:3] == (1.5, 2.0, 3.0) and all(type(x) is float for x in out[:3])
+    assert out[3] is a and out[4] is None

@@ -173,10 +173,10 @@ def test_sweep_csv_matches_csv_module_oracle(extended):
     assert buf.getvalue() == _csv_module_oracle(empty, extended)
 
 
-def test_read_sweep_csv_rejects_ragged_rows():
-    text = "c,beta,I_bits,D\r\n1.0e-01,2.0e-01,3.0e-01,4.0e-01\r\n\r\n1.0e-01,2.0e-01,3.0e-01\r\n"
-    with pytest.raises(ValueError):
-        read_sweep_csv(io.StringIO(text))
-    assert read_sweep_csv(io.StringIO(text.rsplit("\r\n", 2)[0] + "\r\n")) == [
-        {"c": 0.1, "beta": 0.2, "I_bits": 0.3, "D": 0.4}
-    ]
+def test_read_sweep_csv_reads_empty_input_and_line_iterables():
+    assert read_sweep_csv(io.StringIO("")) == []
+    assert read_sweep_csv(io.StringIO("c,beta,I_bits,D\r\n")) == []
+    text = "c,beta,I_bits,D\r\n1.0e-01,2.0e-01,3.0e-01,4.0e-01\r\n\r\n"
+    row = {"c": 0.1, "beta": 0.2, "I_bits": 0.3, "D": 0.4}
+    assert read_sweep_csv(io.StringIO(text)) == [row]
+    assert read_sweep_csv(iter(text.splitlines())) == [row]

@@ -551,3 +551,45 @@ def test_per_outcome_functions_broadcast(rng):
     for eps, i, d in zip(effects, stacked_info, stacked_dist):
         assert i == pytest.approx(outcome_info(eps, sc), abs=1e-16)
         assert d == pytest.approx(outcome_disturbance(eps, sc), abs=1e-16)
+
+
+def test_outcome_disturbance_of_dead_branches_is_zero():
+    # A zero effect and effects that annihilate one state leave nothing to
+    # repair; their joint probabilities (0, or a rounded -1e-17) never reach
+    # optimal_repair.
+    sc = make_scenario(0.5)
+    assert outcome_disturbance(np.zeros(4), sc) == 0.0
+    for c in np.linspace(0.05, 0.95, 19):
+        sc = make_scenario(float(c))
+        for eps in (np.array([1.0, c, -sc.s, 0.0]), np.array([1.0, -c, -sc.s, 0.0])):
+            assert min(joint_probs(eps, sc)) * 4.0 <= PROBABILITY_FLOOR
+            assert outcome_disturbance(eps, sc) == 0.0
+            assert outcome_disturbance(0.5 * eps, sc) == 0.0
+    stacked = outcome_disturbance(np.array([np.zeros(4), [1.0, 0.2, 0.1, 0.0]]), sc)
+    assert stacked[0] == 0.0 and stacked[1] > 0.0
+
+
+def test_pipeline_point_runs_no_closed_form(monkeypatch):
+    expected = [pipeline_point(c, b) for c, b in ((0.7, 0.4), (0.0, 1.0), (1.0, 0.0))]
+    closed = closed_form_point(0.7, 0.4)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("closed form called from the pipeline")
+
+    for name in ("closed_form_table", "closed_form_point", "optimal_repair", "info_contribution"):
+        monkeypatch.setattr(tradeoff, name, forbidden)
+    got = [pipeline_point(c, b) for c, b in ((0.7, 0.4), (0.0, 1.0), (1.0, 0.0))]
+    assert got == expected
+    for o, c in zip(expected[0].outcomes, closed.outcomes):
+        assert o.angles.delta_m == pytest.approx(c.angles.delta_m, abs=1e-15)
+        assert o.angles.theta == c.angles.theta
+
+
+def test_array_paths_do_not_need_numpy2_vecdot(monkeypatch):
+    # The declared NumPy range starts before np.vecdot existed.
+    monkeypatch.delattr(np, "vecdot", raising=False)
+    sweep(0.7, np.linspace(0.0, 1.0, 11), verify=True)
+    sc = make_scenario(np.array([0.3, 0.6]))
+    assert outcome_disturbance(np.array([1.0, 0.5, 0.0, 0.0]), sc).shape == (2,)
+    assert post_angle(np.array([1.0, 0.5, 0.0, 0.0]), make_scenario(0.6)).theta_m > 0.0
+    assert stationarity_check(0.6, 0.5).passes
