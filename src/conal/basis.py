@@ -9,6 +9,8 @@ times the Euclidean dot product of the coordinate vectors.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = ["build_basis", "embed", "unembed", "hs_inner"]
@@ -31,10 +33,15 @@ def build_basis(d: int) -> np.ndarray:
     Returns
     -------
     numpy.ndarray
-        Complex array of shape ``(d*d, d, d)``.
+        Read-only complex array of shape ``(d*d, d, d)``, cached per ``d``.
     """
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
+    return _gell_mann(d)
+
+
+@functools.lru_cache(maxsize=8)
+def _gell_mann(d: int) -> np.ndarray:
     mats = [np.eye(d, dtype=complex)]
     scale = np.sqrt(d / 2.0)
     for k in range(1, d):
@@ -50,24 +57,24 @@ def build_basis(d: int) -> np.ndarray:
         w[:k] = 1.0
         w[k] = -k
         mats.append(scale * np.sqrt(2.0 / (k * (k + 1))) * np.diag(w))
-    return np.stack(mats)
-
-
-def _check_square(A: np.ndarray, d: int, what: str = "matrix") -> None:
-    if A.shape != (d, d):
-        raise ValueError(f"{what} has shape {A.shape}, expected ({d}, {d})")
+    basis = np.stack(mats)
+    basis.flags.writeable = False
+    return basis
 
 
 def embed(A: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Real coordinate vector ``(Tr(A tau_mu))_mu`` of a hermitian matrix.
+    """Real coordinates ``(Tr(A tau_mu))_mu`` of a hermitian matrix or a stack.
 
-    The input is assumed hermitian; imaginary parts of the traces (pure
-    rounding noise for hermitian input) are discarded.
+    Shape ``(..., d, d)`` gives ``(..., d*d)``, each matrix one product ``vec(A^T) @ T^T``
+    with the flattened basis ``T``, so a stack's rows equal single results bit for bit.
+    Imaginary parts of the traces (rounding noise for hermitian input) are discarded.
     """
     A = np.asarray(A, dtype=complex)
-    d = basis.shape[1]
-    _check_square(A, d)
-    return np.einsum("ij,mji->m", A, basis).real
+    n, d = basis.shape[:2]
+    if A.shape[-2:] != (d, d):
+        raise ValueError(f"matrix has shape {A.shape}, expected (..., {d}, {d})")
+    rows = A.swapaxes(-1, -2).reshape(*A.shape[:-2], 1, n)
+    return (rows @ basis.reshape(n, n).T)[..., 0, :].real
 
 
 def unembed(v: np.ndarray, basis: np.ndarray) -> np.ndarray:

@@ -35,6 +35,7 @@ from .measurement import apply_all, validate
 from .serialization import (
     InputFormatError,
     dump_json,
+    dump_matrix_json,
     load_json,
     matrix_from_obj,
     matrix_to_obj,
@@ -102,9 +103,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_psi(args) -> int:
     A = matrix_from_obj(_load_obj(args.matrix))
-    basis = build_basis(A.shape[0])
-    M = psi_matrix(A, basis)
-    print(dump_json({"dim": A.shape[0], "matrix": [[float(x) for x in row] for row in M]}))
+    print(dump_matrix_json(A.shape[0], psi_matrix(A, build_basis(A.shape[0]))))
     return 0
 
 
@@ -124,13 +123,13 @@ def _cmd_measure(args) -> int:
         raise InputFormatError(
             f"state dimension {rho.shape[0]} does not match measurement dimension {meas.dim}"
         )
-    report = validate(meas)
+    basis = build_basis(meas.dim)
+    report = validate(meas, basis=basis)
     if not report.passes:
         print("invalid measurement:", file=sys.stderr)
         for failure in report.failures:
             print(f"  {failure}", file=sys.stderr)
         return 1
-    basis = build_basis(meas.dim)
     records = apply_all(meas, rho, basis)
     outcomes = []
     for rec in records:
@@ -210,7 +209,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="geometry report for a coordinate vector")
     p.add_argument("--vector", required=True, help="vector JSON file, or - for stdin")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=1e-9, help="relative to the vector's "
+                   "scale for in_cone, on eigenvalues for positive and generalized_pure")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("psi", help="real conjugation matrix of an operator")

@@ -64,10 +64,14 @@ def minkowski_product(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def cone_contains(v: np.ndarray, tol: float = DEFAULT_GEOM_TOL) -> bool:
-    """Membership in the cone of revolution (necessary for positivity)."""
+    """Membership in the cone of revolution (necessary for positivity).
+
+    ``tol`` is relative (``|v_1..|^2 - (d-1) v_0^2`` against ``tol`` times their
+    sum, ``v_0`` against ``-tol |v|``), so ``k v`` and ``v`` agree for all ``k > 0``.
+    """
     v = np.asarray(v, dtype=float)
-    d = ambient_dim(v)
-    return bool(v[0] >= -tol and v[1:] @ v[1:] <= (d - 1) * v[0] * v[0] + tol)
+    spatial, axial = v[1:] @ v[1:], (ambient_dim(v) - 1) * v[0] * v[0]
+    return bool(v[0] >= -tol * math.sqrt(v @ v) and spatial - axial <= tol * (spatial + axial))
 
 
 def is_positive_vec(
@@ -101,13 +105,14 @@ def psi_matrix(A: np.ndarray, basis: np.ndarray) -> np.ndarray:
     Entry ``(mu, nu)`` is ``Tr(A tau_nu A^dagger tau_mu) / d``.  The result
     is real for any complex ``A``; it is symmetric PSD when ``A`` is
     hermitian and orthogonal (fixing the height axis) when ``A`` is unitary.
+    For any basis: ``T Y^T / d``, ``Y``'s rows ``vec((A tau_nu A^dagger)^T)``, ``T`` as in ``embed``.
     """
     A = np.asarray(A, dtype=complex)
-    d = basis.shape[1]
+    n, d = basis.shape[:2]
     if A.shape != (d, d):
         raise ValueError(f"operator has shape {A.shape}, expected ({d}, {d})")
-    conjugated = np.einsum("ij,njk,lk->nil", A, basis, A.conj())
-    return np.einsum("nij,mji->mn", conjugated, basis).real / d
+    Y = (A @ basis @ A.conj().T).swapaxes(1, 2).reshape(n, n)
+    return (basis.reshape(n, n) @ Y.T).real / d
 
 
 def outcome_probability(e: np.ndarray, rho: np.ndarray) -> float:

@@ -122,8 +122,9 @@ def validate(
     effects = effects_of(meas)
     total = sum(effects)
     residual = float(np.max(np.abs(total - np.eye(d))))
-    min_eigs = tuple(float(np.linalg.eigvalsh((E + E.conj().T) / 2)[0]) for E in effects)
-    conal_sum = sum(embed((E + E.conj().T) / 2, basis) for E in effects)
+    hermitian = np.stack([(E + E.conj().T) / 2 for E in effects])
+    min_eigs = tuple(np.linalg.eigvalsh(hermitian)[:, 0].tolist())
+    conal_sum = embed(hermitian, basis).sum(axis=0)
     failures = []
     if residual > completeness_tol:
         failures.append(f"completeness residual {residual:.3e} > {completeness_tol:.1e}")

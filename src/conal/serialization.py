@@ -23,6 +23,7 @@ __all__ = [
     "InputFormatError",
     "load_json",
     "dump_json",
+    "dump_matrix_json",
     "matrix_to_obj",
     "matrix_from_obj",
     "vector_to_obj",
@@ -59,6 +60,17 @@ def load_json(text: str):
 
 def dump_json(obj) -> str:
     return json.dumps(obj, indent=2, allow_nan=False)
+
+
+def dump_matrix_json(dim: int, M: np.ndarray) -> str:
+    """``dump_json({"dim": dim, "matrix": M.tolist()})`` byte for byte, from one row template
+    of ``float.__repr__`` values, not ``json``'s slow ``indent`` encoder; non-finite ``M`` raises.
+    """
+    if not np.isfinite(M).all():
+        return dump_json({"dim": dim, "matrix": M.tolist()})
+    row = "    [\n      " + ",\n      ".join(["%r"] * M.shape[1]) + "\n    ]"
+    body = ",\n".join([row] * len(M)) % tuple(M.ravel().tolist())
+    return '{\n  "dim": %d,\n  "matrix": [\n%s\n  ]\n}' % (dim, body)
 
 
 def _require(cond: bool, message: str) -> None:

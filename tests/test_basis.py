@@ -77,6 +77,25 @@ def test_embed_identity(d, bases):
     assert np.allclose(v, expected, atol=1e-12)
 
 
+def test_cached_basis_is_read_only():
+    basis = build_basis(3)
+    assert build_basis(3) is basis
+    assert not basis.flags.writeable
+    with pytest.raises(ValueError):
+        basis[0, 0, 0] = 2.0
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_stacked_embed_rows_equal_single_embeds(d, rng, bases):
+    stack = np.stack([random_hermitian(rng, d) for _ in range(6)]).reshape(2, 3, d, d)
+    rows = embed(stack, bases[d])
+    assert rows.shape == (2, 3, d * d)
+    for idx in np.ndindex(2, 3):
+        single = embed(stack[idx], bases[d])
+        assert single.shape == (d * d,)
+        assert np.array_equal(rows[idx], single)
+
+
 def test_embed_projector_and_mixed(bases):
     proj = np.array([[1, 0], [0, 0]], dtype=complex)
     assert np.allclose(embed(proj, bases[2]), [1, 0, 0, 1], atol=1e-12)

@@ -6,7 +6,7 @@ import pytest
 
 from conal import selftest, tradeoff
 from conal.cli import main
-from conal.serialization import read_sweep_csv
+from conal.serialization import dump_json, read_sweep_csv
 
 PROJ0 = '{"dim": 2, "entries": [[[1,0],[0,0]],[[0,0],[0,0]]]}'
 MIXED = '{"dim": 2, "entries": [[[0.5,0],[0,0]],[[0,0],[0.5,0]]]}'
@@ -89,6 +89,26 @@ def test_psi_of_z(tmp_path, capsys):
     assert code == 0
     M = np.array(json.loads(out)["matrix"])
     assert np.allclose(M, np.diag([1.0, -1.0, -1.0, 1.0]), atol=1e-12)
+
+
+def test_psi_output_is_dump_json_layout(tmp_path, capsys):
+    path = tmp_path / "a.json"
+    A = np.random.default_rng(3).standard_normal((3, 3, 2))
+    path.write_text(json.dumps({"dim": 3, "entries": A.tolist()}))
+    code, out, _ = run_cli(capsys, "psi", "--matrix", str(path))
+    assert code == 0
+    assert out == dump_json(json.loads(out)) + "\n"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_psi_overflow_exits_two(tmp_path, capsys):
+    # Finite input whose conjugation matrix overflows to a non-finite value.
+    path = tmp_path / "huge.json"
+    path.write_text('{"dim": 2, "entries": [[[1e200,0],[0,0]],[[0,0],[1e200,0]]]}')
+    code, out, err = run_cli(capsys, "psi", "--matrix", str(path))
+    assert code == 2
+    assert out == ""
+    assert "Out of range float values are not JSON compliant" in err
 
 
 def test_measure_projective(tmp_path, capsys):

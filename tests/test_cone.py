@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conal.basis import embed, unembed
+from conal.basis import build_basis, embed, unembed
 from conal.cone import (
     ambient_dim,
     cone_contains,
@@ -46,10 +48,32 @@ def test_minkowski_product_examples(rng, bases):
     assert minkowski_product(v, v) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_cone_contains_examples():
+def test_cone_contains_examples(bases):
     assert cone_contains(np.array([1.0, 0, 0, 0]))
     assert not cone_contains(np.array([1.0, 0, 0, 2]))
     assert not cone_contains(np.array([-1.0, 0, 0, 0]))
+    assert cone_contains(np.zeros(4))
+    for d in (2, 3):
+        assert not cone_contains(embed(-1e-10 * np.eye(d), bases[d]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    d=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.floats(-8.0, 8.0),
+    kind=st.sampled_from(["psd", "pure", "outside"]),
+)
+def test_cone_contains_is_scale_invariant(d, seed, exponent, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "outside":
+        # Spatial part twice the cone radius sqrt(d - 1) at unit height.
+        u = rng.standard_normal(d * d - 1)
+        v = np.concatenate(([1.0], 2.0 * np.sqrt(d - 1) * u / np.linalg.norm(u)))
+    else:
+        v = embed((random_psd if kind == "psd" else random_pure)(rng, d), build_basis(d))
+    assert cone_contains(v) is (kind != "outside")
+    assert cone_contains(10.0**exponent * v) is (kind != "outside")
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -112,6 +136,26 @@ def test_generalized_pure_from_projectors(rng, bases):
         v = embed(scale * random_pure(rng, d), bases[d])
         assert is_generalized_pure(v, bases[d])
         assert not is_generalized_pure(np.zeros(d * d), bases[d])
+
+
+def _psi_einsum(A, basis):
+    """The two-einsum conjugation matrix, kept as the oracle for psi_matrix."""
+    d = basis.shape[1]
+    conjugated = np.einsum("ij,njk,lk->nil", A, basis, A.conj())
+    return np.einsum("nij,mji->mn", conjugated, basis).real / d
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 12, 16])
+def test_psi_matches_einsum_oracle(d, rng):
+    gell_mann = build_basis(d)
+    # A rotated basis U tau U^dagger is orthogonal too but not Gell-Mann.
+    U = random_unitary(rng, d)
+    for basis in (gell_mann, U @ gell_mann @ U.conj().T):
+        for _ in range(3):
+            A = random_complex(rng, d)
+            want = _psi_einsum(A, basis)
+            got = psi_matrix(A, basis)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_psi_identity(bases):

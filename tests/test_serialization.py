@@ -8,6 +8,8 @@ from conal.measurement import GeneralizedMeasurement, Povm, effects_of
 from conal.sampling import random_hermitian
 from conal.serialization import (
     InputFormatError,
+    dump_json,
+    dump_matrix_json,
     load_json,
     matrix_from_obj,
     matrix_to_obj,
@@ -18,6 +20,26 @@ from conal.serialization import (
     write_sweep_csv,
 )
 from conal.tradeoff import ClosedFormTable, closed_form_point, closed_form_table
+
+
+def test_dump_matrix_json_equals_dump_json(rng):
+    special = np.array(
+        [[-0.0, 5e-324, 1e300], [-1e300, 3.0, -2.0], [0.0, 2.2250738585072014e-308, 1e16]]
+    )
+    for M in (special, rng.standard_normal((4, 4)), rng.standard_normal((1, 3)), np.eye(9)):
+        assert dump_matrix_json(7, M) == dump_json({"dim": 7, "matrix": M.tolist()})
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_dump_matrix_json_rejects_non_finite(bad):
+    M = np.eye(4)
+    M[1, 2] = bad
+    with pytest.raises(ValueError) as want:
+        dump_json({"dim": 2, "matrix": M.tolist()})
+    with pytest.raises(ValueError) as got:
+        dump_matrix_json(2, M)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("Out of range float values are not JSON compliant")
 
 
 def test_matrix_round_trip(rng):
