@@ -48,13 +48,16 @@ def test_minkowski_product_examples(rng, bases):
     assert minkowski_product(v, v) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_cone_contains_examples(bases):
+def test_cone_contains_examples(rng, bases):
     assert cone_contains(np.array([1.0, 0, 0, 0]))
     assert not cone_contains(np.array([1.0, 0, 0, 2]))
     assert not cone_contains(np.array([-1.0, 0, 0, 0]))
     assert cone_contains(np.zeros(4))
     for d in (2, 3):
         assert not cone_contains(embed(-1e-10 * np.eye(d), bases[d]))
+    # Pure states of height 1e3 at d = 16: the rounding of |v|^2 exceeds 1e-9 absolute.
+    for _ in range(20):
+        assert cone_contains(embed(1e3 * random_pure(rng, 16), build_basis(16)))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
