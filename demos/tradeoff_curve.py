@@ -13,11 +13,12 @@ import numpy as np
 
 from conal import (
     closed_form_point,
+    closed_form_table,
     make_scenario,
     pipeline_point,
     stationarity_check,
-    sweep,
 )
+from conal.tradeoff import VERIFY_TOL, pipeline_residual
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -65,14 +66,14 @@ tension peaks in between.
 # Per-outcome anatomy at one interior point.
 # ---------------------------------------------------------------------------
 pt = pipeline_point(0.6, 0.5)
-for m, o in enumerate(pt.outcomes):
+for m in range(2):
     print(
-        f"outcome {m}: p = {o.p:.4f}, q = {o.q:.4f}, I_m = {o.info_bits:.5f} bits, "
-        f"D_m = {o.disturbance:.6f}"
+        f"outcome {m}: p = {pt.p[m]:.4f}, q = {pt.q[m]:.4f}, "
+        f"I_m = {pt.outcome_info[m]:.5f} bits, D_m = {pt.outcome_disturbance[m]:.6f}"
     )
     print(
-        f"           angles: theta = {o.angles.theta:.4f}, theta_m = {o.angles.theta_m:.4f}, "
-        f"deficit = {o.angles.delta_m:.4f}, repair offset = {o.angles.omega_m:+.4f}"
+        f"           angles: theta = {pt.theta:.4f}, theta_m = {pt.theta - pt.delta[m]:.4f}, "
+        f"deficit = {pt.delta[m]:.4f}, repair offset = {pt.omega[m]:+.4f}"
     )
 
 print("""
@@ -100,8 +101,11 @@ tradeoff.
 """)
 
 # ---------------------------------------------------------------------------
-# The library sweep validates itself when asked.
+# A whole grid at once, checked against the pipeline in one array pass.
 # ---------------------------------------------------------------------------
-points = sweep(0.8, np.linspace(0.0, 1.0, 6), verify=True)
-print(f"verified sweep at c = 0.8: {len(points)} points, "
-      f"I range [{points[0].info_bits:.3f}, {points[-1].info_bits:.3f}] bits")
+table = closed_form_table(0.8, np.linspace(0.0, 1.0, 6))
+worst, (c, beta) = pipeline_residual(table)
+print(f"table at c = 0.8: {len(table.beta)} points, "
+      f"I range [{table.info_bits[0]:.3f}, {table.info_bits[-1]:.3f}] bits")
+print(f"worst closed-form/pipeline residual {worst:.2e} at beta = {beta:.1f} "
+      f"(contract {VERIFY_TOL:.0e}): {'passed' if worst <= VERIFY_TOL else 'FAILED'}")

@@ -44,11 +44,9 @@ from .qubit import (
     square_vec,
 )
 from .tradeoff import (
-    AngleSet,
     ClosedFormTable,
     Scenario,
     StationarityReport,
-    TradeoffPoint,
     closed_form_point,
     closed_form_table,
     info_contribution,
@@ -56,9 +54,7 @@ from .tradeoff import (
     make_scenario,
     optimal_repair,
     pipeline_point,
-    post_angle,
     stationarity_check,
-    sweep,
 )
 
 __version__ = "0.1.0"
@@ -96,19 +92,15 @@ __all__ = [
     "apply_outcome",
     "apply_all",
     "Scenario",
-    "AngleSet",
-    "TradeoffPoint",
     "ClosedFormTable",
     "StationarityReport",
     "make_scenario",
     "joint_probs",
     "info_contribution",
-    "post_angle",
     "optimal_repair",
     "closed_form_table",
     "closed_form_point",
     "pipeline_point",
     "stationarity_check",
-    "sweep",
     "__version__",
 ]

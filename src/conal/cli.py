@@ -31,7 +31,7 @@ from .cone import (
     psi_matrix,
 )
 from .linalg import is_positive, require_hermitian
-from .measurement import apply_all, validate
+from .measurement import _apply_valid, validate
 from .serialization import (
     InputFormatError,
     dump_json,
@@ -130,7 +130,7 @@ def _cmd_measure(args) -> int:
         for failure in report.failures:
             print(f"  {failure}", file=sys.stderr)
         return 1
-    records = apply_all(meas, rho, basis)
+    records = _apply_valid(meas, rho, basis)
     outcomes = []
     for rec in records:
         outcomes.append(
@@ -209,8 +209,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="geometry report for a coordinate vector")
     p.add_argument("--vector", required=True, help="vector JSON file, or - for stdin")
-    p.add_argument("--tol", type=float, default=1e-9, help="relative to the vector's "
-                   "scale for in_cone, on eigenvalues for positive and generalized_pure")
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="relative to the vector's scale, so v and k*v agree for k > 0")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("psi", help="real conjugation matrix of an operator")

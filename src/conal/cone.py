@@ -77,9 +77,15 @@ def cone_contains(v: np.ndarray, tol: float = DEFAULT_GEOM_TOL) -> bool:
 def is_positive_vec(
     v: np.ndarray, basis: np.ndarray, tol: float = DEFAULT_GEOM_TOL
 ) -> bool:
-    """True iff the matrix reconstructed from ``v`` is PSD within ``tol``."""
-    A = unembed(v, basis)
-    return bool(np.linalg.eigvalsh(A)[0] >= -tol)
+    """True iff the matrix reconstructed from ``v`` is PSD within ``tol``.
+
+    ``tol`` is relative: the least eigenvalue is compared with ``-tol`` times
+    the trace (``|v|`` if the trace is not positive), so ``k v`` and ``v``
+    agree for all ``k > 0``.
+    """
+    v = np.asarray(v, dtype=float)
+    scale = v[0] if v[0] > 0.0 else math.sqrt(v @ v)
+    return bool(np.linalg.eigvalsh(unembed(v, basis))[0] >= -tol * scale)
 
 
 def is_generalized_pure(
@@ -87,16 +93,17 @@ def is_generalized_pure(
 ) -> bool:
     """True iff ``v`` is the image of a PSD rank-one matrix of positive trace.
 
-    Decided on eigenvalues: PSD and largest eigenvalue equal to the trace
-    within ``tol``.  Such vectors are light-like, so a true result implies
-    a vanishing Minkowski norm.
+    Decided on eigenvalues: PSD and largest eigenvalue equal to the trace,
+    both within ``tol`` times the trace, so ``k v`` and ``v`` agree for all
+    ``k > 0``.  Such vectors are light-like, so a true result implies a
+    vanishing Minkowski norm.
     """
     v = np.asarray(v, dtype=float)
     w = np.linalg.eigvalsh(unembed(v, basis))
     trace = v[0]
-    if trace <= tol or w[0] < -tol:
+    if trace <= 0.0 or w[0] < -tol * trace:
         return False
-    return bool(abs(trace - w[-1]) <= tol * max(1.0, abs(trace)))
+    return bool(abs(trace - w[-1]) <= tol * trace)
 
 
 def psi_matrix(A: np.ndarray, basis: np.ndarray) -> np.ndarray:

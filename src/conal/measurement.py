@@ -178,6 +178,11 @@ def apply_all(meas, rho: np.ndarray, basis: np.ndarray | None = None) -> list[Ou
     report = validate(meas, basis=basis)
     if not report.passes:
         raise ValueError("invalid measurement: " + "; ".join(report.failures))
+    return _apply_valid(meas, rho, basis)
+
+
+def _apply_valid(meas, rho: np.ndarray, basis: np.ndarray) -> list[OutcomeRecord]:
+    """:func:`apply_all` for a measurement the caller has already validated."""
     if isinstance(meas, Povm):
         operators = [sqrt_psd(E) for E in effects_of(meas)]
     else:

@@ -37,15 +37,11 @@ from .qubit import post_inner_products, qubit_positive, sandwich, sqrt_vec
 
 __all__ = [
     "Scenario",
-    "AngleSet",
-    "OutcomeTradeoff",
-    "TradeoffPoint",
     "ClosedFormTable",
     "StationarityReport",
     "make_scenario",
     "joint_probs",
     "info_contribution",
-    "post_angle",
     "optimal_repair",
     "repair_objective",
     "outcome_info",
@@ -55,7 +51,6 @@ __all__ = [
     "pipeline_point",
     "stationarity_check",
     "pipeline_residual",
-    "sweep",
 ]
 
 #: Coordinate sum of a complete two-outcome attack; the effects must add to it.
@@ -74,11 +69,6 @@ def _acos(x):
 def _xlog2x(t: np.ndarray) -> np.ndarray:
     """Elementwise ``t log2 t``, zero where ``t <= 0``."""
     return t * np.log2(t, out=np.zeros_like(t), where=t > 0.0)
-
-
-def _one_branch(p, q):
-    """Whether an outcome leaves only one of its two branches (the other is below the floor)."""
-    return np.minimum(p, q) * 4.0 <= PROBABILITY_FLOOR
 
 
 def _unit_interval(x, what: str) -> np.ndarray:
@@ -120,41 +110,6 @@ class Scenario:
         return as_floats(_acos(1.0 - 2.0 * self.c * self.c))[0]
 
 
-@dataclass(frozen=True)
-class AngleSet:
-    """Bloch angles of one outcome.
-
-    ``theta`` separates the prepared states, ``theta_m`` the post-measurement
-    states; ``delta_m = theta - theta_m`` is the angular deficit closed by
-    the repair, and ``omega_m`` the optimal bisector offset.
-    """
-
-    theta: float
-    theta_m: float
-    delta_m: float
-    omega_m: float = 0.0
-
-
-@dataclass(frozen=True)
-class OutcomeTradeoff:
-    """Per-outcome joint probabilities and tradeoff contributions."""
-
-    p: float
-    q: float
-    info_bits: float
-    disturbance: float
-    angles: AngleSet
-
-
-@dataclass(frozen=True)
-class TradeoffPoint:
-    c: float
-    beta: float
-    info_bits: float
-    disturbance: float
-    outcomes: tuple[OutcomeTradeoff, ...]
-
-
 class ClosedFormTable(NamedTuple):
     """Closed-form tradeoff of the symmetric attack at ``n`` points ``(c, beta)``.
 
@@ -163,7 +118,7 @@ class ClosedFormTable(NamedTuple):
     shape ``(n, 2)``, one column per outcome: the joint probabilities ``p``
     and ``q``, the information and repaired disturbance contributions, the
     angular deficit ``delta = theta - theta_m`` and the optimal bisector
-    offset ``omega``.
+    offset ``omega``.  :meth:`row` gives one point as Python values.
     """
 
     c: np.ndarray
@@ -177,6 +132,10 @@ class ClosedFormTable(NamedTuple):
     outcome_disturbance: np.ndarray
     delta: np.ndarray
     omega: np.ndarray
+
+    def row(self, k: int) -> ClosedFormTable:
+        """Point ``k``: floats for ``c`` .. ``disturbance``, ``[outcome 0, outcome 1]`` lists for the rest."""
+        return ClosedFormTable(*(x[k].tolist() for x in self))
 
 
 def make_scenario(c) -> Scenario:
@@ -216,19 +175,6 @@ def info_contribution(p, q):
     if np.count_nonzero(p + q == 0.0):
         raise ValueError("outcome never occurs")
     return as_floats((p + q) + _xlog2x(p) + _xlog2x(q) - _xlog2x(p + q))[0]
-
-
-def post_angle(eps, sc: Scenario) -> AngleSet:
-    """Bloch angles before and after the outcome with effect vector ``eps``.
-
-    ``cos(theta_m) = 1 - eta(eps, eps) eta(v0, v1) / ((eps.v0)(eps.v1))`` is
-    the rescaled 3-dot of :func:`conal.qubit.post_inner_products`; pure
-    effects collapse both states onto one ray (``theta_m = 0``), the
-    identity leaves the angle untouched.  Raises on a zero-probability branch.
-    """
-    cos_tm = post_inner_products(eps, sc.v0, sc.v1)[3]
-    theta, theta_m = sc.theta, float(_acos(cos_tm))
-    return AngleSet(theta=theta, theta_m=theta_m, delta_m=theta - theta_m)
 
 
 def repair_objective(p: float, q: float, delta: float, omega: float) -> float:
@@ -272,10 +218,11 @@ def outcome_info(eps, sc: Scenario):
 def _deficit(eps, sc: Scenario, p: np.ndarray, q: np.ndarray):
     """Angular deficit ``theta - theta_m`` of the effects ``eps`` with joint probabilities ``(p, q)``.
 
-    Also returns where both branches survive.  With one branch left, both
-    post states lie on its ray, so ``theta_m = 0``.
+    Also returns where both branches survive, i.e. both heights ``4p`` and
+    ``4q`` exceed the floor.  With one branch left, both post states lie on
+    its ray, so ``theta_m = 0``.
     """
-    both = ~_one_branch(p, q)
+    both = ~(np.minimum(p, q) * 4.0 <= PROBABILITY_FLOOR)
     theta_m = np.zeros(p.shape)
     alive = (x[both] for x in np.broadcast_arrays(eps, sc.v0, sc.v1))
     theta_m[both] = _acos(post_inner_products(*alive)[3])
@@ -334,25 +281,12 @@ def closed_form_table(c, beta) -> ClosedFormTable:
     )
 
 
-def _points(t: ClosedFormTable) -> list[TradeoffPoint]:
-    """The rows of ``t`` as :class:`TradeoffPoint` objects (``theta_m = theta - delta``)."""
-    points = []
-    # Field order: five (n,) columns, then the (n, 2) per-outcome ones.
-    for c, beta, theta, info, dist, *per_outcome in zip(*(x.tolist() for x in t)):
-        outcomes = tuple(
-            OutcomeTradeoff(p, q, i, d, AngleSet(theta, theta - delta, delta, omega))
-            for p, q, i, d, delta, omega in zip(*per_outcome)
-        )
-        points.append(TradeoffPoint(c, beta, info, dist, outcomes))
-    return points
-
-
-def closed_form_point(c: float, beta: float) -> TradeoffPoint:
+def closed_form_point(c: float, beta: float) -> ClosedFormTable:
     """Tradeoff of the symmetric attack ``(1, +/-beta, 0, 0)`` in closed form.
 
     The one row of :func:`closed_form_table` at ``(c, beta)``.
     """
-    return _points(closed_form_table(c, beta))[0]
+    return closed_form_table(c, beta).row(0)
 
 
 def _pipeline_arrays(c: np.ndarray, beta: np.ndarray):
@@ -385,7 +319,7 @@ def _pipeline_arrays(c: np.ndarray, beta: np.ndarray):
     return p, q, info, (p + q - np.abs(m)) / 2.0, omega
 
 
-def pipeline_point(c: float, beta: float) -> TradeoffPoint:
+def pipeline_point(c: float, beta: float) -> ClosedFormTable:
     """Tradeoff of the symmetric attack computed end to end.
 
     Builds the effect square roots with :func:`conal.qubit.sqrt_vec`,
@@ -393,8 +327,8 @@ def pipeline_point(c: float, beta: float) -> TradeoffPoint:
     joint probabilities off the post-vector heights, and solves the repair
     rotation exactly as an in-plane Procrustes problem (no arcsin closed
     form, no search).  The angular deficits come from the post-measurement
-    angle of :func:`post_angle`.  Must agree with :func:`closed_form_point`
-    to high accuracy.
+    angle of the effect, as in :func:`outcome_disturbance`.  One row, like
+    :func:`closed_form_point`, with which it must agree to high accuracy.
     """
     sc = make_scenario(c)
     c, beta = np.array([sc.c]), np.array([_unit_interval(beta, "attack strength")])
@@ -402,7 +336,7 @@ def pipeline_point(c: float, beta: float) -> TradeoffPoint:
     delta, _ = _deficit(_pm_pairs(beta, 0.0), sc, p, q)
     theta = np.array([sc.theta])
     pipe = ClosedFormTable(c, beta, theta, info.sum(-1), dist.sum(-1), p, q, info, dist, delta, omega)
-    return _points(pipe)[0]
+    return pipe.row(0)
 
 
 @dataclass(frozen=True)
@@ -528,24 +462,3 @@ def pipeline_residual(table: ClosedFormTable) -> tuple[float, tuple[float, float
     )
     k = int(np.argmax(residual))
     return float(residual[k]), (float(table.c[k]), float(table.beta[k]))
-
-
-def sweep(
-    c: float, betas, verify: bool = False, verify_tol: float = VERIFY_TOL
-) -> list[TradeoffPoint]:
-    """Closed-form tradeoff points over a grid of attack strengths.
-
-    One :func:`closed_form_table` call over all ``betas``.  With
-    ``verify=True`` every point is recomputed through the end-to-end
-    pipeline and a disagreement beyond ``verify_tol`` (or a NaN) raises,
-    naming the worst ``(c, beta)``.
-    """
-    table = closed_form_table(c, betas)
-    if verify:
-        worst, where = pipeline_residual(table)
-        if not worst <= verify_tol:
-            raise ValueError(
-                f"closed form and pipeline disagree: worst residual {worst:.3e} "
-                f"at c={where[0]:.12g} beta={where[1]:.12g}"
-            )
-    return _points(table)

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from conal import selftest, tradeoff
+from conal import cli, measurement, selftest, tradeoff
 from conal.cli import main
 from conal.serialization import dump_json, read_sweep_csv
 
@@ -140,6 +140,29 @@ def test_measure_invalid_measurement_exits_one(tmp_path, capsys):
     )
     assert code == 1
     assert "invalid measurement" in err
+
+
+def test_measure_validates_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = measurement.validate
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "validate", counting)
+    monkeypatch.setattr(measurement, "validate", counting)
+    state = tmp_path / "state.json"
+    state.write_text(MIXED)
+    meas = tmp_path / "meas.json"
+    meas.write_text(PROJECTIVE)
+    code, out, _ = run_cli(capsys, "measure", "--state", str(state), "--measurement", str(meas))
+    assert (code, len(calls)) == (0, 1)
+    assert [o["probability"] for o in json.loads(out)["outcomes"]] == pytest.approx([0.5, 0.5])
+    meas.write_text('{"dim": 2, "kraus": [[[[1,0],[0,0]],[[0,0],[0,0]]]]}')
+    code, out, err = run_cli(capsys, "measure", "--state", str(state), "--measurement", str(meas))
+    assert (code, len(calls), out) == (1, 2, "")
+    assert err.startswith("invalid measurement:\n  completeness residual")
 
 
 def test_measure_zero_probability_outcome(tmp_path, capsys):

@@ -69,14 +69,18 @@ def test_cone_contains_examples(rng, bases):
 )
 def test_cone_contains_is_scale_invariant(d, seed, exponent, kind):
     rng = np.random.default_rng(seed)
+    basis = build_basis(d)
     if kind == "outside":
         # Spatial part twice the cone radius sqrt(d - 1) at unit height.
         u = rng.standard_normal(d * d - 1)
         v = np.concatenate(([1.0], 2.0 * np.sqrt(d - 1) * u / np.linalg.norm(u)))
     else:
-        v = embed((random_psd if kind == "psd" else random_pure)(rng, d), build_basis(d))
-    assert cone_contains(v) is (kind != "outside")
-    assert cone_contains(10.0**exponent * v) is (kind != "outside")
+        v = embed((random_psd if kind == "psd" else random_pure)(rng, d), basis)
+    for w in (v, 10.0**exponent * v, -(10.0**exponent) * v):
+        scaled = bool(w[0] > 0.0)
+        assert cone_contains(w) is (scaled and kind != "outside")
+        assert is_positive_vec(w, basis) is (scaled and kind != "outside")
+        assert is_generalized_pure(w, basis) is (scaled and kind == "pure")
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -100,6 +104,9 @@ def test_is_positive_vec_examples(bases):
         assert is_positive_vec(v, bases[d])
     v = embed(np.diag([1.0, 1.0, -0.01]), bases[3])
     assert not is_positive_vec(v, bases[3])
+    # An eigenvalue -1e-4 of a trace-2 matrix is negative at every scale.
+    v = embed(np.diag([1.0, 1.0, -1e-4]), bases[3])
+    assert not any(is_positive_vec(k * v, bases[3]) for k in (1e-6, 1.0, 1e6))
 
 
 def test_cone_strictly_larger_than_positives_for_d3(bases):
@@ -138,6 +145,7 @@ def test_generalized_pure_from_projectors(rng, bases):
         scale = rng.uniform(0.5, 2.0)
         v = embed(scale * random_pure(rng, d), bases[d])
         assert is_generalized_pure(v, bases[d])
+        assert is_generalized_pure(1e-10 * v, bases[d])
         assert not is_generalized_pure(np.zeros(d * d), bases[d])
 
 

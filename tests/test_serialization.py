@@ -149,9 +149,9 @@ def test_sweep_csv_extended_columns():
         "p1", "q1", "omega1", "delta1",
     }
     pt = points[0]
-    assert row["p0"] == pytest.approx(pt.outcomes[0].p, abs=1e-11)
-    assert row["omega1"] == pytest.approx(pt.outcomes[1].angles.omega_m, abs=1e-11)
-    assert row["delta0"] == pytest.approx(pt.outcomes[0].angles.delta_m, abs=1e-11)
+    assert row["p0"] == pytest.approx(pt.p[0], abs=1e-11)
+    assert row["omega1"] == pytest.approx(pt.omega[1], abs=1e-11)
+    assert row["delta0"] == pytest.approx(pt.delta[0], abs=1e-11)
 
 
 def _csv_module_oracle(table, extended):

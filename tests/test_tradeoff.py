@@ -8,10 +8,11 @@ from conal import tradeoff
 from conal.basis import embed, unembed
 from conal.linalg import PROBABILITY_FLOOR, sqrt_psd
 from conal.optimize import golden_section
-from conal.qubit import minkowski4, qubit_positive
+from conal.qubit import minkowski4, post_inner_products, qubit_positive
 from conal.sampling import random_psd
 from conal.tradeoff import (
     ATTACK_TOTAL,
+    VERIFY_TOL,
     ClosedFormTable,
     closed_form_point,
     closed_form_table,
@@ -23,10 +24,8 @@ from conal.tradeoff import (
     outcome_info,
     pipeline_point,
     pipeline_residual,
-    post_angle,
     repair_objective,
     stationarity_check,
-    sweep,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -61,9 +60,7 @@ def test_make_scenario_examples():
     assert np.allclose(sc.v0, [1, 0, 1, 0]) and np.allclose(sc.v1, [1, 0, 1, 0])
     sc = make_scenario(1.0)
     assert np.allclose(sc.v0, [1, 1, 0, 0]) and np.allclose(sc.v1, [1, -1, 0, 0])
-    sc = make_scenario(INV_SQRT2)
-    theta = post_angle(np.array([2.0, 0, 0, 0]), sc).theta
-    assert theta == pytest.approx(math.pi / 2, abs=1e-12)
+    assert make_scenario(INV_SQRT2).theta == pytest.approx(math.pi / 2, abs=1e-12)
 
 
 def test_scenario_invariants(rng):
@@ -113,40 +110,44 @@ def test_info_sums_to_closed_form():
 
 
 def test_post_angle_examples():
-    sc = make_scenario(0.6)
-    pure = np.array([1.0, 1.0, 0.0, 0.0])
-    angles = post_angle(pure, sc)
-    assert angles.theta_m == pytest.approx(0.0, abs=1e-7)
-    assert angles.delta_m == pytest.approx(angles.theta, abs=1e-7)
-    full = np.array([2.0, 0, 0, 0])
-    angles = post_angle(full, sc)
-    assert angles.theta_m == pytest.approx(angles.theta, abs=1e-12)
-    assert angles.delta_m == pytest.approx(0.0, abs=1e-12)
+    # Pure effects (beta = 1) collapse both states onto one ray, theta_m = 0;
+    # half the identity (beta = 0) leaves the angle untouched.
+    table = closed_form_table(0.6, [1.0, 0.0])
+    theta = table.theta[0]
+    assert table.delta[0] == pytest.approx([theta, theta], abs=1e-7)
+    assert table.delta[1] == pytest.approx([0.0, 0.0], abs=1e-12)
 
 
 def test_post_angle_against_dense_pipeline(rng, bases):
+    # theta_m = theta - delta of both outcomes against the angle between the
+    # dense post-measurement Bloch vectors.
     tau = bases[2]
-    for _ in range(200):
-        c = float(rng.uniform(0.05, 0.95))
-        beta = float(rng.uniform(0.0, 0.95))
-        sc = make_scenario(c)
-        eps = np.array([1.0, beta, 0.0, 0.0])
-        angles = post_angle(eps, sc)
-        root = sqrt_psd(unembed(eps, tau))
-        blochs = []
-        for v in (sc.v0, sc.v1):
-            post = embed(root @ unembed(v, tau) @ root, tau)
-            blochs.append(post[1:] / post[0])
-        cos_num = float(blochs[0] @ blochs[1]) / (
-            np.linalg.norm(blochs[0]) * np.linalg.norm(blochs[1])
-        )
-        assert math.cos(angles.theta_m) == pytest.approx(cos_num, abs=1e-10)
+    cases = rng.uniform([0.05, 0.0], [0.95, 0.95], (200, 2))
+    table = closed_form_table(*cases.T)
+    for (c, beta), theta, deltas in zip(cases, table.theta, table.delta):
+        sc = make_scenario(float(c))
+        for m, sign in enumerate((1.0, -1.0)):
+            root = sqrt_psd(unembed(np.array([1.0, sign * beta, 0.0, 0.0]), tau))
+            blochs = []
+            for v in (sc.v0, sc.v1):
+                post = embed(root @ unembed(v, tau) @ root, tau)
+                blochs.append(post[1:] / post[0])
+            cos_num = float(blochs[0] @ blochs[1]) / (
+                np.linalg.norm(blochs[0]) * np.linalg.norm(blochs[1])
+            )
+            assert math.cos(theta - deltas[m]) == pytest.approx(cos_num, abs=1e-10)
 
 
 def test_post_angle_zero_probability():
+    # At c = 1 a pure effect annihilates one state: the post products have no
+    # angle to give, and the table takes theta_m = 0 with nothing to repair.
     sc = make_scenario(1.0)
     with pytest.raises(ValueError):
-        post_angle(np.array([1.0, 1.0, 0.0, 0.0]), sc)
+        post_inner_products(np.array([1.0, 1.0, 0.0, 0.0]), sc.v0, sc.v1)
+    pt = closed_form_point(1.0, 1.0)
+    assert pt.delta == [pt.theta, pt.theta]
+    assert pt.omega == [pt.theta / 2.0, pt.theta / 2.0]
+    assert pt.outcome_disturbance == [0.0, 0.0]
 
 
 def test_optimal_repair_symmetric():
@@ -175,8 +176,7 @@ def test_optimal_repair_consistent_with_closed_form_at_full_strength():
         sc = make_scenario(c)
         p = (1 + c) / 4
         q = (1 - c) / 4
-        theta = post_angle(np.array([2.0, 0, 0, 0]), sc).theta
-        _, d_m = optimal_repair(p, q, theta / 2.0)
+        _, d_m = optimal_repair(p, q, sc.theta / 2.0)
         assert 2 * d_m == pytest.approx(closed_form_point(c, 1.0).disturbance, abs=1e-12)
 
 
@@ -223,15 +223,10 @@ def test_closed_form_outcome_bookkeeping(rng):
         c = float(rng.uniform(0.05, 0.95))
         beta = float(rng.uniform(0.0, 1.0))
         pt = closed_form_point(c, beta)
-        assert all(o.p >= 0.0 and o.q >= 0.0 for o in pt.outcomes)
-        total = sum(o.p + o.q for o in pt.outcomes)
-        assert total == pytest.approx(1.0, abs=1e-10)
-        assert sum(o.info_bits for o in pt.outcomes) == pytest.approx(
-            pt.info_bits, abs=1e-10
-        )
-        assert sum(o.disturbance for o in pt.outcomes) == pytest.approx(
-            pt.disturbance, abs=1e-10
-        )
+        assert min(pt.p) >= 0.0 and min(pt.q) >= 0.0
+        assert sum(pt.p) + sum(pt.q) == pytest.approx(1.0, abs=1e-10)
+        assert sum(pt.outcome_info) == pytest.approx(pt.info_bits, abs=1e-10)
+        assert sum(pt.outcome_disturbance) == pytest.approx(pt.disturbance, abs=1e-10)
         assert 0.0 <= pt.disturbance <= 0.5
         assert 0.0 <= pt.info_bits <= 1.0
 
@@ -272,10 +267,9 @@ def test_pipeline_matches_near_boundary_strengths():
 
 def test_pipeline_full_strength_branch():
     pt = pipeline_point(0.7, 1.0)
-    for o in pt.outcomes:
-        assert o.angles.theta_m == pytest.approx(0.0, abs=1e-6)
-    total = sum(o.p + o.q for o in pt.outcomes)
-    assert total == pytest.approx(1.0, abs=1e-12)
+    for delta in pt.delta:
+        assert pt.theta - delta == pytest.approx(0.0, abs=1e-6)
+    assert sum(pt.p) + sum(pt.q) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pipeline_omega_magnitude_matches_formula(rng):
@@ -283,9 +277,9 @@ def test_pipeline_omega_magnitude_matches_formula(rng):
         c = float(rng.uniform(0.1, 0.9))
         beta = float(rng.uniform(0.1, 0.9))
         pp = pipeline_point(c, beta)
-        for o in pp.outcomes:
-            expected, _ = optimal_repair(o.p, o.q, o.angles.delta_m / 2.0)
-            assert abs(abs(o.angles.omega_m) - abs(expected)) < 1e-12
+        for p, q, delta, omega in zip(pp.p, pp.q, pp.delta, pp.omega):
+            expected, _ = optimal_repair(p, q, delta / 2.0)
+            assert abs(abs(omega) - abs(expected)) < 1e-12
 
 
 def _pipeline_cases(rng):
@@ -300,9 +294,9 @@ def test_pipeline_disturbance_matches_exact_rotation_oracle(rng, bases):
     for c, beta in _pipeline_cases(rng):
         sc = make_scenario(c)
         pp = pipeline_point(c, beta)
-        for o, sign in zip(pp.outcomes, (1.0, -1.0)):
+        for dist, sign in zip(pp.outcome_disturbance, (1.0, -1.0)):
             eps = np.array([1.0, sign * beta, 0.0, 0.0])
-            assert o.disturbance == pytest.approx(
+            assert dist == pytest.approx(
                 exact_repair_disturbance(eps, sc, tau), abs=1e-12
             ), (c, beta)
 
@@ -418,33 +412,29 @@ def test_attack_total_shared_between_outcomes():
 
 
 def test_sweep_structure_and_monotonicity():
-    betas = np.linspace(0.0, 1.0, 11)
-    points = sweep(INV_SQRT2, betas)
-    assert len(points) == 11
-    assert points[0].info_bits == pytest.approx(0.0, abs=1e-15)
-    assert points[0].disturbance == pytest.approx(0.0, abs=1e-15)
-    assert points[-1].info_bits == pytest.approx(0.3991240, abs=1e-5)
-    assert points[-1].disturbance == pytest.approx(0.0669873, abs=1e-6)
-    infos = [pt.info_bits for pt in points]
-    assert all(b >= a - 1e-12 for a, b in zip(infos, infos[1:]))
+    table = closed_form_table(INV_SQRT2, np.linspace(0.0, 1.0, 11))
+    assert len(table.c) == 11
+    assert table.info_bits[0] == pytest.approx(0.0, abs=1e-15)
+    assert table.disturbance[0] == pytest.approx(0.0, abs=1e-15)
+    assert table.info_bits[-1] == pytest.approx(0.3991240, abs=1e-5)
+    assert table.disturbance[-1] == pytest.approx(0.0669873, abs=1e-6)
+    assert np.all(np.diff(table.info_bits) >= -1e-12)
 
 
 def test_sweep_degenerate_separations():
-    for pt in sweep(0.0, np.linspace(0, 1, 6)):
-        assert pt.info_bits == pytest.approx(0.0, abs=1e-12)
-    for pt in sweep(1.0, np.linspace(0, 1, 6)):
-        assert pt.disturbance == pytest.approx(0.0, abs=1e-12)
+    betas = np.linspace(0, 1, 6)
+    assert closed_form_table(0.0, betas).info_bits == pytest.approx(np.zeros(6), abs=1e-12)
+    assert closed_form_table(1.0, betas).disturbance == pytest.approx(np.zeros(6), abs=1e-12)
 
 
 def test_sweep_verify_mode():
-    points = sweep(0.5, np.linspace(0.0, 1.0, 5), verify=True)
-    assert len(points) == 5
-    with pytest.raises(ValueError, match=r"worst residual \S+ at c=0\.5 beta=\S+$"):
-        sweep(0.5, np.linspace(0.0, 1.0, 5), verify=True, verify_tol=1e-30)
+    worst, (c, beta) = pipeline_residual(closed_form_table(0.5, np.linspace(0.0, 1.0, 5)))
+    assert 0.0 < worst <= VERIFY_TOL
+    assert c == 0.5 and beta in np.linspace(0.0, 1.0, 5)
 
 
 def test_sweep_verify_rejects_nan_residual(monkeypatch):
-    # NaN compares false with any tolerance; the gate must still fail.
+    # NaN compares false with any tolerance; the residual must still report it.
     real = tradeoff._pipeline_arrays
 
     def broken(c, beta):
@@ -454,8 +444,9 @@ def test_sweep_verify_rejects_nan_residual(monkeypatch):
         return p, q, info, dist, omega
 
     monkeypatch.setattr(tradeoff, "_pipeline_arrays", broken)
-    with pytest.raises(ValueError, match=r"worst residual nan at c=0\.5 beta=0\.5$"):
-        sweep(0.5, np.linspace(0.0, 1.0, 5), verify=True)
+    worst, where = pipeline_residual(closed_form_table(0.5, np.linspace(0.0, 1.0, 5)))
+    assert math.isnan(worst) and not worst <= VERIFY_TOL
+    assert where == (0.5, 0.5)
 
 
 def test_closed_forms_relative_accuracy_against_mpmath():
@@ -496,9 +487,10 @@ def test_closed_form_table_rows_match_scalar_functions(rng):
                 assert table.omega[i, m] == sc.theta / 2.0
                 assert table.outcome_disturbance[i, m] == 0.0
                 continue
-            angles = post_angle(eps, sc)
-            omega, dist = optimal_repair(p, q, angles.delta_m / 2.0)
-            assert table.delta[i, m] == pytest.approx(angles.delta_m, abs=1e-15)
+            cos_tm = post_inner_products(eps, sc.v0, sc.v1)[3]
+            delta = sc.theta - math.acos(min(max(cos_tm, -1.0), 1.0))
+            omega, dist = optimal_repair(p, q, delta / 2.0)
+            assert table.delta[i, m] == pytest.approx(delta, abs=1e-15)
             assert table.omega[i, m] == pytest.approx(omega, abs=1e-15)
             assert table.outcome_disturbance[i, m] == pytest.approx(dist, abs=1e-16)
 
@@ -527,8 +519,22 @@ def test_closed_form_table_broadcasts_and_matches_points():
     assert table.p.shape == table.omega.shape == (7, 2)
     assert closed_form_table(0.6, 0.5).c.shape == (1,)
     assert closed_form_table(0.6, []).p.shape == (0, 2)
-    for beta, pt in zip(betas, sweep(0.6, betas)):
-        assert pt == closed_form_point(0.6, float(beta))
+    for k, beta in enumerate(betas):
+        assert table.row(k) == closed_form_point(0.6, float(beta))
+
+
+def test_row_holds_python_values():
+    # Plain floats and lists, so rows compare with == to a bool.
+    table = closed_form_table([0.3, 0.8], [0.5, 0.9])
+    row = table.row(1)
+    assert type(row) is ClosedFormTable
+    for x, column in zip(row, table):
+        if column.ndim == 1:
+            assert type(x) is float and x == column[1]
+        else:
+            assert type(x) is list and x == [column[1, 0], column[1, 1]]
+    assert (row == table.row(1)) is True
+    assert (row == table.row(0)) is False
 
 
 def test_per_outcome_functions_broadcast(rng):
@@ -580,16 +586,16 @@ def test_pipeline_point_runs_no_closed_form(monkeypatch):
         monkeypatch.setattr(tradeoff, name, forbidden)
     got = [pipeline_point(c, b) for c, b in ((0.7, 0.4), (0.0, 1.0), (1.0, 0.0))]
     assert got == expected
-    for o, c in zip(expected[0].outcomes, closed.outcomes):
-        assert o.angles.delta_m == pytest.approx(c.angles.delta_m, abs=1e-15)
-        assert o.angles.theta == c.angles.theta
+    assert expected[0].delta == pytest.approx(closed.delta, abs=1e-15)
+    assert expected[0].theta == closed.theta
 
 
 def test_array_paths_do_not_need_numpy2_vecdot(monkeypatch):
     # The declared NumPy range starts before np.vecdot existed.
     monkeypatch.delattr(np, "vecdot", raising=False)
-    sweep(0.7, np.linspace(0.0, 1.0, 11), verify=True)
+    assert pipeline_residual(closed_form_table(0.7, np.linspace(0.0, 1.0, 11)))[0] <= VERIFY_TOL
     sc = make_scenario(np.array([0.3, 0.6]))
     assert outcome_disturbance(np.array([1.0, 0.5, 0.0, 0.0]), sc).shape == (2,)
-    assert post_angle(np.array([1.0, 0.5, 0.0, 0.0]), make_scenario(0.6)).theta_m > 0.0
+    table = closed_form_table(0.6, 0.5)
+    assert table.theta[0] - table.delta[0, 0] > 0.0
     assert stationarity_check(0.6, 0.5).passes
