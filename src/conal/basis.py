@@ -78,12 +78,16 @@ def embed(A: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 def unembed(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Hermitian matrix ``(1/d) * sum_mu v_mu tau_mu`` from its coordinates."""
+    """Hermitian matrix ``(1/d) * sum_mu v_mu tau_mu`` from its coordinates.
+
+    Shape ``(..., d*d)`` gives ``(..., d, d)``, each vector one product ``v @ T``
+    with the flattened basis ``T``, so a stack's rows equal single results bit for bit.
+    """
     v = np.asarray(v, dtype=float)
-    d = basis.shape[1]
-    if v.shape != (d * d,):
-        raise ValueError(f"coordinate vector has length {v.shape}, expected {d * d}")
-    return np.tensordot(v, basis, axes=([0], [0])) / d
+    n, d = basis.shape[:2]
+    if v.ndim < 1 or v.shape[-1] != n:
+        raise ValueError(f"coordinate vector has length {v.shape}, expected {n}")
+    return (v[..., None, :] @ basis.reshape(n, n))[..., 0, :].reshape(*v.shape[:-1], d, d) / d
 
 
 def hs_inner(A: np.ndarray, B: np.ndarray) -> float:

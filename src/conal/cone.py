@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .basis import unembed
-from .linalg import is_positive, require_hermitian
+from .linalg import dot_last, entry, is_positive, require_hermitian
 
 __all__ = [
     "ambient_dim",
@@ -38,8 +38,8 @@ DEFAULT_GEOM_TOL = 1e-9
 
 
 def ambient_dim(v: np.ndarray) -> int:
-    """Hilbert-space dimension ``d`` of a coordinate vector of length ``d*d``."""
-    n = len(v)
+    """Hilbert-space dimension ``d`` of coordinate vectors of length ``d*d`` (the last axis)."""
+    n = np.shape(v)[-1]
     d = math.isqrt(n)
     if d * d != n or d < 2:
         raise ValueError(f"vector length {n} is not a square of a dimension >= 2")
@@ -54,13 +54,18 @@ def minkowski_diagonal(d: int) -> np.ndarray:
 
 
 def minkowski_product(u: np.ndarray, v: np.ndarray) -> float:
-    """Minkowski product ``(d-1) u_0 v_0 - sum_{i>=1} u_i v_i``."""
+    """Minkowski product ``(d-1) u_0 v_0 - sum_{i>=1} u_i v_i``.
+
+    ``(..., d*d)`` stacks give an array of row products, each equal to the
+    single call bit for bit; single vectors give a float.
+    """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
         raise ValueError(f"incompatible shapes {u.shape} and {v.shape}")
     d = ambient_dim(u)
-    return float((d - 1) * u[0] * v[0] - u[1:] @ v[1:])
+    product = (d - 1) * entry(u, 0) * entry(v, 0) - dot_last(u[..., 1:], v[..., 1:])
+    return product if u.ndim > 1 else float(product)
 
 
 def cone_contains(v: np.ndarray, tol: float = DEFAULT_GEOM_TOL) -> bool:
@@ -68,10 +73,13 @@ def cone_contains(v: np.ndarray, tol: float = DEFAULT_GEOM_TOL) -> bool:
 
     ``tol`` is relative (``|v_1..|^2 - (d-1) v_0^2`` against ``tol`` times their
     sum, ``v_0`` against ``-tol |v|``), so ``k v`` and ``v`` agree for all ``k > 0``.
+    A ``(..., d*d)`` stack gives a boolean array, one entry per row.
     """
     v = np.asarray(v, dtype=float)
-    spatial, axial = v[1:] @ v[1:], (ambient_dim(v) - 1) * v[0] * v[0]
-    return bool(v[0] >= -tol * math.sqrt(v @ v) and spatial - axial <= tol * (spatial + axial))
+    height = entry(v, 0)
+    spatial, axial = dot_last(v[..., 1:], v[..., 1:]), (ambient_dim(v) - 1) * height * height
+    inside = (height >= -tol * np.sqrt(dot_last(v, v))) & (spatial - axial <= tol * (spatial + axial))
+    return inside if v.ndim > 1 else bool(inside)
 
 
 def is_positive_vec(
@@ -96,14 +104,13 @@ def is_generalized_pure(
     Decided on eigenvalues: PSD and largest eigenvalue equal to the trace,
     both within ``tol`` times the trace, so ``k v`` and ``v`` agree for all
     ``k > 0``.  Such vectors are light-like, so a true result implies a
-    vanishing Minkowski norm.
+    vanishing Minkowski norm.  A ``(..., d*d)`` stack gives a boolean array.
     """
     v = np.asarray(v, dtype=float)
     w = np.linalg.eigvalsh(unembed(v, basis))
-    trace = v[0]
-    if trace <= 0.0 or w[0] < -tol * trace:
-        return False
-    return bool(abs(trace - w[-1]) <= tol * trace)
+    trace = entry(v, 0)
+    pure = (trace > 0.0) & (entry(w, 0) >= -tol * trace) & (abs(trace - entry(w, -1)) <= tol * trace)
+    return pure if v.ndim > 1 else bool(pure)
 
 
 def psi_matrix(A: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -113,13 +120,15 @@ def psi_matrix(A: np.ndarray, basis: np.ndarray) -> np.ndarray:
     is real for any complex ``A``; it is symmetric PSD when ``A`` is
     hermitian and orthogonal (fixing the height axis) when ``A`` is unitary.
     For any basis: ``T Y^T / d``, ``Y``'s rows ``vec((A tau_nu A^dagger)^T)``, ``T`` as in ``embed``.
+    A ``(..., d, d)`` stack gives ``(..., d*d, d*d)``, each matrix equal to the single call bit for bit.
     """
     A = np.asarray(A, dtype=complex)
     n, d = basis.shape[:2]
-    if A.shape != (d, d):
-        raise ValueError(f"operator has shape {A.shape}, expected ({d}, {d})")
-    Y = (A @ basis @ A.conj().T).swapaxes(1, 2).reshape(n, n)
-    return (basis.reshape(n, n) @ Y.T).real / d
+    if A.ndim < 2 or A.shape[-2:] != (d, d):
+        raise ValueError(f"operator has shape {A.shape}, expected (..., {d}, {d})")
+    A = A[..., None, :, :]
+    Y = (A @ basis @ A.conj().swapaxes(-1, -2)).swapaxes(-1, -2).reshape(*A.shape[:-3], n, n)
+    return (basis.reshape(n, n) @ Y.swapaxes(-1, -2)).real / d
 
 
 def outcome_probability(e: np.ndarray, rho: np.ndarray) -> float:

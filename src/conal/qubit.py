@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cone import DEFAULT_GEOM_TOL
-from .linalg import PROBABILITY_FLOOR, as_floats, dot_last
+from .cone import DEFAULT_GEOM_TOL, cone_contains
+from .linalg import PROBABILITY_FLOOR, as_floats, dot_last, entry
 
 __all__ = [
     "minkowski4",
@@ -59,13 +59,14 @@ def minkowski4(u, v) -> float:
 
 
 def qubit_positive(v, tol: float = DEFAULT_GEOM_TOL) -> bool:
-    """Closed-form positivity: ``eta(v, v) >= -tol`` and ``v_0 >= -tol``.
+    """Closed-form positivity: ``eta(v, v) >= 0`` and ``v_0 >= 0``, within relative ``tol``.
 
     Equivalent to both eigenvalues ``(v_0 +/- |v vec|) / 2`` being
-    nonnegative; agrees with the dense eigenvalue test.
+    nonnegative: at ``d = 2`` the cone of revolution is the PSD cone, so this
+    is :func:`~conal.cone.cone_contains` on 4-vectors, with its scale-relative
+    ``tol``.  A ``(..., 4)`` stack gives a boolean array.
     """
-    v = _as4(v)
-    return bool(v[0] >= -tol and _eta(v, v) >= -tol)
+    return cone_contains(_as4(v, stacked=True), tol)
 
 
 def sandwich(a, rho) -> np.ndarray:
@@ -85,14 +86,14 @@ def sandwich(a, rho) -> np.ndarray:
 
 
 def square_vec(a) -> np.ndarray:
-    """Coordinates of ``A**2``: ``a_0 a - (1/4) eta(a, a) * identity``."""
-    a = _as4(a, "a")
-    return a[0] * a - 0.25 * _eta(a, a) * IDENTITY_VEC
+    """Coordinates of ``A**2``: ``a_0 a - (1/4) eta(a, a) * identity``, row by row on a ``(..., 4)`` stack."""
+    a = _as4(a, "a", stacked=True)
+    return a[..., :1] * a - (0.25 * _eta(a, a))[..., None] * IDENTITY_VEC
 
 
 def _sqrt_parts(a, tol: float):
     """``sqrt(eta(a, a))`` and ``r = sqrt(a_0 + sqrt(eta(a, a)))`` of each nonzero PSD row."""
-    height, norm = a.T[0].T, _eta(a, a)
+    height, norm = entry(a, 0), _eta(a, a)
     if np.count_nonzero((height < -tol) | (norm < -tol)):
         raise ValueError("vector is not the image of a PSD matrix")
     root = np.sqrt(np.maximum(norm, 0.0))
@@ -122,15 +123,17 @@ def cross_relations(a, rho) -> tuple[float, float, float]:
     * ``eta(sqrt A, sqrt A) = 2 sqrt(eta(A, A))``
     * ``A^2 . rho = A_0 (A . rho) - rho_0 eta(A, A) / 2``
     * ``sqrt(A) . rho = (A . rho + rho_0 sqrt(eta(A, A))) / r``
+
+    ``a`` and ``rho`` may be broadcasting ``(..., 4)`` stacks, which give arrays.
     """
-    a = _as4(a, "a")
-    rho = _as4(rho, "rho")
+    a = _as4(a, "a", stacked=True)
+    rho = _as4(rho, "rho", stacked=True)
     root, r = _sqrt_parts(a, DEFAULT_GEOM_TOL)
-    dot = float(a @ rho)
+    dot = dot_last(a, rho)
     eta_sqrt = 2.0 * root
-    sq_dot = a[0] * dot - 0.5 * rho[0] * _eta(a, a)
-    sqrt_dot = (dot + rho[0] * root) / r
-    return eta_sqrt, sq_dot, sqrt_dot
+    sq_dot = entry(a, 0) * dot - 0.5 * entry(rho, 0) * _eta(a, a)
+    sqrt_dot = (dot + entry(rho, 0) * root) / r
+    return as_floats(eta_sqrt, sq_dot, sqrt_dot)
 
 
 def post_inner_products(e, r0, r1, rescaled: bool = True):

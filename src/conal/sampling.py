@@ -1,11 +1,16 @@
 """Seeded random matrices for tests, self-checks and experiments.
 
 All generators take a ``numpy.random.Generator`` so runs are reproducible.
+Those built from standard normals also take a leading ``shape``: one call
+with ``shape=(n,)`` draws the same numbers, leaves the generator in the same
+state and returns the same matrices, bit for bit, as ``n`` plain calls.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .linalg import dot_last
 
 __all__ = [
     "random_complex",
@@ -15,22 +20,36 @@ __all__ = [
     "random_pure",
     "random_unitary",
     "random_kraus_set",
+    "hermitian_part",
+    "gram",
 ]
 
 
-def random_complex(rng: np.random.Generator, d: int) -> np.ndarray:
-    """Complex matrix with independent standard-normal real and imaginary parts."""
-    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+def hermitian_part(G: np.ndarray) -> np.ndarray:
+    """``(G + G^dagger) / 2`` of a matrix or a ``(..., d, d)`` stack."""
+    return (G + G.conj().swapaxes(-1, -2)) / 2
 
 
-def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
-    G = random_complex(rng, d)
-    return (G + G.conj().T) / 2
+def gram(G: np.ndarray) -> np.ndarray:
+    """``G^dagger G`` of a matrix or a ``(..., d, d)`` stack."""
+    return G.conj().swapaxes(-1, -2) @ G
 
 
-def random_psd(rng: np.random.Generator, d: int) -> np.ndarray:
-    G = random_complex(rng, d)
-    return G.conj().T @ G
+def random_complex(rng: np.random.Generator, d: int, shape: tuple = ()) -> np.ndarray:
+    """Complex matrix with independent standard-normal real and imaginary parts.
+
+    The real part is drawn before the imaginary part, matrix by matrix.
+    """
+    x = rng.standard_normal((*shape, 2, d, d))
+    return x[..., 0, :, :] + 1j * x[..., 1, :, :]
+
+
+def random_hermitian(rng: np.random.Generator, d: int, shape: tuple = ()) -> np.ndarray:
+    return hermitian_part(random_complex(rng, d, shape))
+
+
+def random_psd(rng: np.random.Generator, d: int, shape: tuple = ()) -> np.ndarray:
+    return gram(random_complex(rng, d, shape))
 
 
 def random_density(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -39,11 +58,13 @@ def random_density(rng: np.random.Generator, d: int) -> np.ndarray:
     return B / np.trace(B).real
 
 
-def random_pure(rng: np.random.Generator, d: int) -> np.ndarray:
+def random_pure(rng: np.random.Generator, d: int, shape: tuple = ()) -> np.ndarray:
     """Rank-one unit-trace projector onto a random state vector."""
-    psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    psi /= np.linalg.norm(psi)
-    return np.outer(psi, psi.conj())
+    x = rng.standard_normal((*shape, 2, d))
+    psi = x[..., 0, :] + 1j * x[..., 1, :]
+    # The sum of squares is the one ``np.linalg.norm`` forms for a single vector.
+    psi /= np.sqrt(dot_last(psi.real, psi.real) + dot_last(psi.imag, psi.imag))[..., None]
+    return psi[..., :, None] * psi.conj()[..., None, :]
 
 
 def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -64,8 +85,7 @@ def random_kraus_set(
     """
     if n_outcomes < 1:
         raise ValueError("need at least one outcome")
-    Gs = [random_complex(rng, d) for _ in range(n_outcomes)]
-    S = sum(G.conj().T @ G for G in Gs)
-    w, V = np.linalg.eigh(S)
+    Gs = random_complex(rng, d, (n_outcomes,))
+    w, V = np.linalg.eigh(gram(Gs).sum(axis=0))
     S_inv_half = (V / np.sqrt(w)) @ V.conj().T
-    return [G @ S_inv_half for G in Gs]
+    return list(Gs @ S_inv_half)

@@ -1,15 +1,17 @@
 """Seeded verification registry runnable from the command line.
 
 Each check draws its randomness from a single generator, so a fixed seed
-makes the whole run bit-reproducible.  A check yields ``(residual, where)``
-pairs and returns a :class:`CheckResult`: the worst residual, the tolerance
-it must not exceed, and the input where it occurred.
+makes the whole run bit-reproducible.  A check draws all its samples of one
+dimension as one stack, in the order a loop over trials would draw them,
+and runs each kernel and each dense oracle once on the stack.  It returns
+its ``(input, residual)`` array with the inputs in draw order, and
+:func:`_check` reduces that to a :class:`CheckResult`: the worst residual,
+the tolerance it must not exceed, and the input where it occurred.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -19,9 +21,7 @@ from . import (
     build_basis,
     cone_contains,
     embed,
-    hs_inner,
     is_generalized_pure,
-    is_positive,
     minkowski_product,
     optimal_repair,
     polar_decompose,
@@ -34,10 +34,13 @@ from . import (
     stationarity_check,
     unembed,
 )
+from .linalg import DEFAULT_PSD_TOL, dot_last
 from .measurement import GeneralizedMeasurement
 from .optimize import golden_section
 from .qubit import cross_relations, post_inner_products
 from .sampling import (
+    gram,
+    hermitian_part,
     random_complex,
     random_density,
     random_hermitian,
@@ -63,253 +66,277 @@ class CheckResult(NamedTuple):
         return self.worst <= self.tol
 
 
-def _severity(pair) -> float:
-    """Ranking key of a ``(residual, where)`` pair: a NaN residual ranks above every number."""
-    return math.inf if math.isnan(pair[0]) else pair[0]
-
-
 def _check(tol: float):
-    """Turn a generator of ``(residual, where)`` pairs into a check returning a CheckResult.
+    """Turn a function returning ``(residuals, inputs)`` into a check returning a CheckResult.
 
-    The first largest residual names ``argworst``, and a NaN is the largest
-    of all, so it is reported and fails.  A negative worst is reported as
-    zero, since negative residuals are margins of inequalities.
+    ``inputs`` is the list of inputs, each a dict, in draw order, and
+    ``residuals`` an array whose leading axis runs over them; further axes
+    hold each input's residuals.  ``np.argmax`` over the flattened array
+    picks the first largest residual, which names ``argworst``, and ranks a
+    NaN above every number, so a NaN is reported and fails.  A negative
+    worst is reported as zero, since negative residuals are margins of
+    inequalities.
     """
 
-    def decorate(pairs):
-        @functools.wraps(pairs)
+    def decorate(residuals_of):
+        @functools.wraps(residuals_of)
         def check(rng) -> CheckResult:
-            worst, argworst = max(pairs(rng), key=_severity)
-            return CheckResult(0.0 if worst < 0.0 else worst, tol, argworst)
+            residuals, inputs = residuals_of(rng)
+            flat = np.asarray(residuals, dtype=float).reshape(len(inputs), -1)
+            k = int(np.argmax(flat))
+            worst = float(flat.flat[k])
+            return CheckResult(0.0 if worst < 0.0 else worst, tol, inputs[k // flat.shape[1]])
 
         return check
 
     return decorate
 
 
+def _trials(n: int) -> list[dict]:
+    return [{"trial": t} for t in range(n)]
+
+
+def _per_dim(dims, trials: int, residuals_at):
+    """``residuals_at(d)``, ``trials`` rows each, over ``dims`` in turn, with the inputs of the rows."""
+    residuals = np.concatenate([np.reshape(residuals_at(d), (trials, -1)) for d in dims])
+    return residuals, [{"d": d, "trial": t} for d in dims for t in range(trials)]
+
+
+def _max_abs(X: np.ndarray, axis=(-2, -1)) -> np.ndarray:
+    """Largest entry magnitude of each matrix (or, with ``axis=-1``, vector) of a stack."""
+    return np.max(np.abs(X), axis=axis)
+
+
+def _trace(X: np.ndarray) -> np.ndarray:
+    return np.trace(X, axis1=-2, axis2=-1)
+
+
 @_check(1e-12)
 def _check_basis_gram(rng):
-    for d in range(2, 6):
+    dims = range(2, 6)
+    residuals = []
+    for d in dims:
         basis = build_basis(d)
-        gram = np.einsum("mij,nji->mn", basis, basis).real
-        yield float(np.max(np.abs(gram - d * np.eye(d * d)))), {"d": d}
+        gram_matrix = np.einsum("mij,nji->mn", basis, basis).real
+        residuals.append(np.max(np.abs(gram_matrix - d * np.eye(d * d))))
+    return residuals, [{"d": d} for d in dims]
 
 
 @_check(1e-12)
 def _check_isometry(rng):
-    for d in range(2, 6):
+    def residuals(d):
         basis = build_basis(d)
-        for trial in range(25):
-            A = random_hermitian(rng, d)
-            B = random_hermitian(rng, d)
-            lhs = hs_inner(A, B)
-            rhs = float(embed(A, basis) @ embed(B, basis)) / d
-            yield abs(lhs - rhs) / (1.0 + abs(lhs)), {"d": d, "trial": trial}
+        H = random_hermitian(rng, d, (25, 2))
+        A, B = H[:, 0], H[:, 1]
+        lhs = _trace(A @ B).real
+        rhs = dot_last(embed(A, basis), embed(B, basis)) / d
+        return abs(lhs - rhs) / (1.0 + abs(lhs))
+
+    return _per_dim(range(2, 6), 25, residuals)
 
 
 @_check(1e-12)
 def _check_round_trip(rng):
-    for d in range(2, 6):
+    def residuals(d):
         basis = build_basis(d)
-        for trial in range(25):
-            A = random_hermitian(rng, d)
-            residual = float(np.max(np.abs(unembed(embed(A, basis), basis) - A)))
-            yield residual, {"d": d, "trial": trial}
+        A = random_hermitian(rng, d, (25,))
+        return _max_abs(unembed(embed(A, basis), basis) - A)
+
+    return _per_dim(range(2, 6), 25, residuals)
 
 
 @_check(1e-10)
 def _check_trace_positivity(rng):
-    for d in (2, 3, 4):
-        for trial in range(25):
-            B = random_psd(rng, d)
-            C = random_psd(rng, d)
-            A = random_hermitian(rng, d)
-            at = {"d": d, "trial": trial}
-            yield -float(np.trace(B @ C).real), at
-            yield -float(np.trace(B @ A @ B @ A).real), at
+    def residuals(d):
+        G = random_complex(rng, d, (25, 3))
+        B, C, A = gram(G[:, 0]), gram(G[:, 1]), hermitian_part(G[:, 2])
+        return np.stack([-_trace(B @ C).real, -_trace(B @ A @ B @ A).real], axis=-1)
+
+    return _per_dim((2, 3, 4), 25, residuals)
 
 
 @_check(1e-10)
 def _check_sqrt_psd(rng):
-    for d in (2, 3, 5):
-        for trial in range(20):
-            A = random_psd(rng, d)
-            B = sqrt_psd(A)
-            at = {"d": d, "trial": trial}
-            yield float(np.max(np.abs(B @ B - A))), at
-            yield -float(np.linalg.eigvalsh(B)[0]), at
+    def residuals(d):
+        A = random_psd(rng, d, (20,))
+        B = sqrt_psd(A)
+        return np.stack([_max_abs(B @ B - A), -np.linalg.eigvalsh(B)[:, 0]], axis=-1)
+
+    return _per_dim((2, 3, 5), 20, residuals)
 
 
 @_check(1e-10)
 def _check_polar(rng):
-    for d in (2, 3, 4):
-        for trial in range(20):
-            M = random_complex(rng, d)
-            U, P = polar_decompose(M)
-            at = {"d": d, "trial": trial}
-            yield float(np.max(np.abs(U @ P - M))), at
-            yield float(np.max(np.abs(U.conj().T @ U - np.eye(d)))), at
+    def residuals(d):
+        M = random_complex(rng, d, (20,))
+        U, P = polar_decompose(M)
+        return np.stack([_max_abs(U @ P - M), _max_abs(U.conj().swapaxes(-1, -2) @ U - np.eye(d))], axis=-1)
+
+    return _per_dim((2, 3, 4), 20, residuals)
 
 
 @_check(1e-10)
 def _check_psi_homomorphism(rng):
-    for d in (2, 3):
+    def residuals(d):
         basis = build_basis(d)
-        for trial in range(20):
-            A = random_complex(rng, d)
-            B = random_complex(rng, d)
-            lhs = psi_matrix(A @ B, basis)
-            rhs = psi_matrix(A, basis) @ psi_matrix(B, basis)
-            yield float(np.max(np.abs(lhs - rhs))), {"d": d, "trial": trial}
+        AB = random_complex(rng, d, (20, 2))
+        A, B = AB[:, 0], AB[:, 1]
+        return _max_abs(psi_matrix(A @ B, basis) - psi_matrix(A, basis) @ psi_matrix(B, basis))
+
+    return _per_dim((2, 3), 20, residuals)
 
 
 @_check(1e-8)
 def _check_psi_unitary(rng):
-    for d in (2, 3):
+    def residuals(d):
         basis = build_basis(d)
         eye = np.eye(d * d)
-        for trial in range(20):
-            U = random_unitary(rng, d)
-            R = psi_matrix(U, basis)
-            at = {"d": d, "trial": trial}
-            yield float(np.max(np.abs(R.T @ R - eye))), at
-            yield abs(np.linalg.det(R) - 1.0), at
-            yield float(np.max(np.abs(R[:, 0] - eye[:, 0]))), at
-            phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
-            yield float(np.max(np.abs(psi_matrix(phase * U, basis) - R))), at
+        U = np.empty((20, d, d), dtype=complex)
+        phase = np.empty(20, dtype=complex)
+        # Each unitary is followed by its phase in the stream, so trials draw in a loop.
+        for t in range(20):
+            U[t] = random_unitary(rng, d)
+            phase[t] = np.exp(1j * rng.uniform(0, 2 * np.pi))
+        R = psi_matrix(U, basis)
+        return np.stack([
+            _max_abs(R.swapaxes(-1, -2) @ R - eye),
+            abs(np.linalg.det(R) - 1.0),
+            _max_abs(R[:, :, 0] - eye[:, 0], axis=-1),
+            _max_abs(psi_matrix(phase[:, None, None] * U, basis) - R),
+        ], axis=-1)
+
+    return _per_dim((2, 3), 20, residuals)
 
 
 @_check(1e-10)
 def _check_psi_effect(rng):
-    for d in (2, 3):
-        basis = build_basis(d)
-        for trial in range(20):
-            root = sqrt_psd(random_psd(rng, d))
-            R = psi_matrix(root, basis)
-            at = {"d": d, "trial": trial}
-            yield float(np.max(np.abs(R - R.T))), at
-            yield -float(np.linalg.eigvalsh((R + R.T) / 2)[0]), at
+    def residuals(d):
+        R = psi_matrix(sqrt_psd(random_psd(rng, d, (20,))), build_basis(d))
+        RT = R.swapaxes(-1, -2)
+        return np.stack([_max_abs(R - RT), -np.linalg.eigvalsh((R + RT) / 2)[:, 0]], axis=-1)
+
+    return _per_dim((2, 3), 20, residuals)
 
 
 @_check(0.5)
 def _check_cone_membership(rng):
-    for d in range(2, 6):
-        basis = build_basis(d)
-        for trial in range(50):
-            v = embed(random_psd(rng, d), basis)
-            yield float(not cone_contains(v)), {"d": d, "trial": trial}
+    def residuals(d):
+        return ~cone_contains(embed(random_psd(rng, d, (50,)), build_basis(d)))
+
+    return _per_dim(range(2, 6), 50, residuals)
 
 
 @_check(1e-10)
 def _check_pure_lightlike(rng):
-    for d in range(2, 6):
+    def residuals(d):
         basis = build_basis(d)
-        for trial in range(50):
-            v = embed(random_pure(rng, d), basis)
-            at = {"d": d, "trial": trial}
-            yield abs(minkowski_product(v, v)), at
-            yield abs(v[0] - 1.0), at
-            yield float(not is_generalized_pure(v, basis)), at
+        v = embed(random_pure(rng, d, (50,)), basis)
+        return np.stack([
+            abs(minkowski_product(v, v)),
+            abs(v[:, 0] - 1.0),
+            ~is_generalized_pure(v, basis),
+        ], axis=-1)
+
+    return _per_dim(range(2, 6), 50, residuals)
 
 
 @_check(0.5)
 def _check_qubit_positivity(rng):
-    basis = build_basis(2)
-    for trial in range(200):
-        v = rng.standard_normal(4) * 2.0
-        yield float(qubit_positive(v) != is_positive(unembed(v, basis))), {"trial": trial}
+    v = rng.standard_normal((200, 4)) * 2.0
+    dense = np.linalg.eigvalsh(unembed(v, build_basis(2)))[:, 0] >= -DEFAULT_PSD_TOL
+    return qubit_positive(v) != dense, _trials(200)
 
 
 @_check(1e-10)
 def _check_qubit_sandwich(rng):
     basis = build_basis(2)
-    for trial in range(100):
-        a = embed(random_psd(rng, 2), basis)
-        r = embed(random_psd(rng, 2), basis)
-        A = unembed(a, basis)
-        R = unembed(r, basis)
-        dense = embed(A @ R @ A, basis)
-        yield float(np.max(np.abs(sandwich(a, r) - dense))), {"trial": trial}
+    ar = embed(random_psd(rng, 2, (100, 2)), basis)
+    a, r = ar[:, 0], ar[:, 1]
+    A, R = unembed(a, basis), unembed(r, basis)
+    return _max_abs(sandwich(a, r) - embed(A @ R @ A, basis), axis=-1), _trials(100)
 
 
 @_check(1e-9)
 def _check_qubit_roots(rng):
     basis = build_basis(2)
-    for trial in range(100):
-        a = embed(random_psd(rng, 2), basis)
-        A = unembed(a, basis)
-        at = {"trial": trial}
-        yield float(np.max(np.abs(square_vec(a) - embed(A @ A, basis)))), at
-        yield float(np.max(np.abs(sqrt_vec(a) - embed(sqrt_psd(A), basis)))), at
-        r = embed(random_psd(rng, 2), basis)
-        eta_sqrt, sq_dot, sqrt_dot = cross_relations(a, r)
-        yield abs(eta_sqrt - minkowski_product(sqrt_vec(a), sqrt_vec(a))), at
-        yield abs(sq_dot - float(square_vec(a) @ r)), at
-        yield abs(sqrt_dot - float(sqrt_vec(a) @ r)), at
+    ar = embed(random_psd(rng, 2, (100, 2)), basis)
+    a, r = ar[:, 0], ar[:, 1]
+    A = unembed(a, basis)
+    root = sqrt_vec(a)
+    square = square_vec(a)
+    eta_sqrt, sq_dot, sqrt_dot = cross_relations(a, r)
+    return np.stack([
+        _max_abs(square - embed(A @ A, basis), axis=-1),
+        _max_abs(root - embed(sqrt_psd(A), basis), axis=-1),
+        abs(eta_sqrt - minkowski_product(root, root)),
+        abs(sq_dot - dot_last(square, r)),
+        abs(sqrt_dot - dot_last(root, r)),
+    ], axis=-1), _trials(100)
 
 
 @_check(1e-8)
 def _check_qubit_post_products(rng):
     basis = build_basis(2)
-    for trial in range(100):
-        e = embed(random_psd(rng, 2), basis)
-        r0 = embed(random_psd(rng, 2), basis)
-        r1 = embed(random_psd(rng, 2), basis)
-        root = sqrt_vec(e)
-        u0 = sandwich(root, r0)
-        u1 = sandwich(root, r1)
-        full4, rescaled4, bloch3, rescaled3 = post_inner_products(e, r0, r1)
-        heights = u0[0] * u1[0]
-        at = {"trial": trial}
-        yield abs(full4 - float(u0 @ u1)), at
-        yield abs(bloch3 - float(u0[1:] @ u1[1:])), at
-        yield abs(rescaled4 - float(u0 @ u1) / heights), at
-        yield abs(rescaled3 - float(u0[1:] @ u1[1:]) / heights), at
+    e, r0, r1 = np.moveaxis(embed(random_psd(rng, 2, (100, 3)), basis), 1, 0)
+    root = sqrt_vec(e)
+    u0 = sandwich(root, r0)
+    u1 = sandwich(root, r1)
+    full4, rescaled4, bloch3, rescaled3 = post_inner_products(e, r0, r1)
+    dot4, dot3 = dot_last(u0, u1), dot_last(u0[:, 1:], u1[:, 1:])
+    heights = u0[:, 0] * u1[:, 0]
+    return np.stack([
+        abs(full4 - dot4),
+        abs(bloch3 - dot3),
+        abs(rescaled4 - dot4 / heights),
+        abs(rescaled3 - dot3 / heights),
+    ], axis=-1), _trials(100)
 
 
 @_check(1e-10)
 def _check_measurement_statistics(rng):
-    for d in (2, 3):
+    def residuals(d):
         basis = build_basis(d)
-        for trial in range(25):
+        worst = []
+        # The outcome count is drawn from the stream, so trials draw in a loop;
+        # a trial's row is its largest residual, since all of them share its input.
+        for _ in range(25):
             meas = GeneralizedMeasurement(
                 dim=d, kraus=random_kraus_set(rng, d, rng.integers(2, 5))
             )
-            rho = random_density(rng, d)
-            records = apply_all(meas, rho, basis)
-            at = {"d": d, "trial": trial}
-            yield abs(sum(r.probability for r in records) - 1.0), at
-            for rec in records:
-                yield abs(rec.unrescaled[0] - rec.probability), at
+            records = apply_all(meas, random_density(rng, d), basis)
+            row = [abs(sum(rec.probability for rec in records) - 1.0)]
+            row += [abs(rec.unrescaled[0] - rec.probability) for rec in records]
+            worst.append(np.max(row))
+        return worst
+
+    return _per_dim((2, 3), 25, residuals)
 
 
 @_check(1e-6)
 def _check_repair(rng):
     samples = [(*rng.uniform(0.02, 0.5, 2), rng.uniform(0.0, 1.5)) for _ in range(100)]
     omegas, d_mins = optimal_repair(*np.array(samples).T)
-    for (p, q, delta), omega, d_min in zip(samples, omegas, d_mins):
-        w_num, d_num = golden_section(
-            lambda w: repair_objective(p, q, delta, w), -np.pi / 2, np.pi / 2, 1e-9
-        )
-        at = {"p": p, "q": q, "delta": delta}
-        yield abs(omega - w_num), at
-        yield abs(d_min - d_num), at
+    numeric = [
+        golden_section(lambda w: repair_objective(p, q, delta, w), -np.pi / 2, np.pi / 2, 1e-9)
+        for p, q, delta in samples
+    ]
+    residuals = np.abs(np.stack([omegas, d_mins], axis=-1) - np.array(numeric))
+    return residuals, [{"p": p, "q": q, "delta": delta} for p, q, delta in samples]
 
 
 @_check(VERIFY_TOL)
 def _check_tradeoff_match(rng):
     c, beta = np.meshgrid((0.3, 1 / np.sqrt(2.0), 0.9), (0.0, 0.4, 0.8, 1.0), indexing="ij")
     worst, (c, beta) = pipeline_residual(closed_form_table(c, beta))
-    yield worst, {"c": c, "beta": beta}
+    return [worst], [{"c": c, "beta": beta}]
 
 
 @_check(1e-5)
 def _check_stationarity(rng):
-    for c, beta in ((0.5, 0.4), (0.8, 0.6)):
-        report = stationarity_check(c, beta)
-        at = {"c": c, "beta": beta}
-        yield report.max_constrained_derivative, at
-        yield report.mirror_max_residual, at
+    points = ((0.5, 0.4), (0.8, 0.6))
+    reports = [stationarity_check(c, beta) for c, beta in points]
+    residuals = [(r.max_constrained_derivative, r.mirror_max_residual) for r in reports]
+    return residuals, [{"c": c, "beta": beta} for c, beta in points]
 
 
 CHECKS = [

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from conal.basis import build_basis, embed, hs_inner, unembed
-from conal.sampling import random_hermitian
+from conal.cone import cone_contains, is_generalized_pure, minkowski_product, psi_matrix
+from conal.linalg import polar_decompose, sqrt_psd
+from conal.sampling import random_hermitian, random_psd, random_pure
 
 I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -87,13 +89,36 @@ def test_cached_basis_is_read_only():
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_stacked_embed_rows_equal_single_embeds(d, rng, bases):
+    """``embed`` and every general-d function that takes stacks: rows equal single calls bit for bit."""
+    basis = bases[d]
     stack = np.stack([random_hermitian(rng, d) for _ in range(6)]).reshape(2, 3, d, d)
-    rows = embed(stack, bases[d])
+    rows = embed(stack, basis)
     assert rows.shape == (2, 3, d * d)
+    # Pure, mixed and indefinite rows, so the predicates take both values.
+    vecs = np.concatenate([embed(random_pure(rng, d, (2,)), basis), rows[0]])
+    products = minkowski_product(vecs, vecs[::-1])
+    inside, pure = cone_contains(vecs), is_generalized_pure(vecs, basis)
+    matrices, psd = unembed(vecs, basis), random_psd(rng, d, (5,))
+    roots, (U, P), psi = sqrt_psd(psd), polar_decompose(stack[0]), psi_matrix(stack[0], basis)
+    assert matrices.shape == (5, d, d) and inside.shape == pure.shape == products.shape == (5,)
+    assert pure.tolist()[:2] == [True, True] and not pure.all() and inside.any()
     for idx in np.ndindex(2, 3):
-        single = embed(stack[idx], bases[d])
+        single = embed(stack[idx], basis)
         assert single.shape == (d * d,)
         assert np.array_equal(rows[idx], single)
+    for k, v in enumerate(vecs):
+        assert np.array_equal(matrices[k], unembed(v, basis))
+        assert products[k] == minkowski_product(v, vecs[::-1][k])
+        assert inside[k] == cone_contains(v) and pure[k] == is_generalized_pure(v, basis)
+        assert np.array_equal(roots[k], sqrt_psd(psd[k]))
+    for k in range(3):
+        assert all(np.array_equal(x[k], y) for x, y in zip((U, P), polar_decompose(stack[0, k])))
+        assert np.array_equal(psi[k], psi_matrix(stack[0, k], basis))
+    # One bad matrix fails a stack with the single call's error.
+    psd[3] -= 2.0 * np.linalg.eigvalsh(psd[3])[-1] * np.eye(d)
+    for bad in (psd[3], psd):
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            sqrt_psd(bad)
 
 
 def test_embed_projector_and_mixed(bases):

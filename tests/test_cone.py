@@ -81,6 +81,8 @@ def test_cone_contains_is_scale_invariant(d, seed, exponent, kind):
         assert cone_contains(w) is (scaled and kind != "outside")
         assert is_positive_vec(w, basis) is (scaled and kind != "outside")
         assert is_generalized_pure(w, basis) is (scaled and kind == "pure")
+        if d == 2:
+            assert qubit_positive(w) is (scaled and kind != "outside")
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])

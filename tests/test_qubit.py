@@ -50,6 +50,8 @@ def test_qubit_positive_examples():
     assert qubit_positive([1, 0, 0, 1])
     assert not qubit_positive([1, 0, 0, 1.01])
     assert not qubit_positive([-1, 0, 0, 0])
+    # Relative, like cone_contains: a violation outside the cone at any scale.
+    assert not qubit_positive(1e-12 * np.array([1, 0, 0, 1.0001]))
 
 
 def test_sandwich_examples(tau):
@@ -121,12 +123,21 @@ def test_sqrt_rejects_zero_and_indefinite():
 def test_sqrt_and_sandwich_on_stacks_match_rows(rng, tau):
     a = np.array([random_cone_vec(rng, tau) for _ in range(50)])
     rho = np.array([random_cone_vec(rng, tau) for _ in range(50)])
+    # Every other row flipped below the cone, so qubit_positive takes both values.
+    signed = a * np.where(np.arange(50) % 2, 1.0, -1.0)[:, None]
     roots = sqrt_vec(a)
     posts = sandwich(a, rho)
-    assert roots.shape == posts.shape == (50, 4)
+    squares = square_vec(signed)
+    positive = qubit_positive(signed)
+    relations = cross_relations(a, rho)
+    assert roots.shape == posts.shape == squares.shape == (50, 4)
+    assert np.array_equal(positive, np.arange(50) % 2 == 1)
     for k in range(50):
         assert np.array_equal(roots[k], sqrt_vec(a[k]))
         assert np.array_equal(posts[k], sandwich(a[k], rho[k]))
+        assert np.array_equal(squares[k], square_vec(signed[k]))
+        assert positive[k] == qubit_positive(signed[k])
+        assert [x[k] for x in relations] == list(cross_relations(a[k], rho[k]))
     # Broadcasting: every root against every state.
     grid = sandwich(roots[:5, None, :], rho[None, :7, :])
     assert grid.shape == (5, 7, 4)
@@ -139,6 +150,12 @@ def test_sqrt_stack_rejects_bad_rows():
         sqrt_vec(np.vstack([good, [0.0, 0.0, 0.0, 2.0]]))
     with pytest.raises(ValueError, match="zero vector"):
         sqrt_vec(np.vstack([good, np.zeros(4)]))
+    rho = np.array([1.0, 0.0, 0.0, 0.5])
+    for bad, message in (([0.0, 0.0, 0.0, 2.0], "not the image of a PSD matrix"), (np.zeros(4), "zero vector")):
+        with pytest.raises(ValueError, match=message):
+            cross_relations(bad, rho)
+        with pytest.raises(ValueError, match=message):
+            cross_relations(np.vstack([good, bad]), rho)
     for bad in ([1.0, 2.0, 3.0], np.ones((2, 3)), 1.0):
         with pytest.raises(ValueError, match="exactly 4 components"):
             sqrt_vec(bad)
