@@ -47,9 +47,13 @@ def require_hermitian(A: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarr
 
 
 def is_positive(A: np.ndarray, tol: float = DEFAULT_PSD_TOL) -> bool:
-    """True iff every eigenvalue of the hermitian matrix ``A`` is >= -tol."""
+    """True iff every eigenvalue of the hermitian matrix ``A`` is >= -tol.
+
+    A ``(..., d, d)`` stack gives a boolean array, one entry per matrix.
+    """
     A = require_hermitian(A)
-    return bool(np.linalg.eigvalsh(A)[0] >= -tol)
+    positive = entry(np.linalg.eigvalsh(A), 0) >= -tol
+    return positive if A.ndim > 2 else bool(positive)
 
 
 def sqrt_psd(A: np.ndarray, tol: float = DEFAULT_PSD_TOL) -> np.ndarray:

@@ -22,6 +22,7 @@ from . import (
     cone_contains,
     embed,
     is_generalized_pure,
+    is_positive,
     minkowski_product,
     optimal_repair,
     polar_decompose,
@@ -34,7 +35,7 @@ from . import (
     stationarity_check,
     unembed,
 )
-from .linalg import DEFAULT_PSD_TOL, dot_last
+from .linalg import dot_last
 from .measurement import GeneralizedMeasurement
 from .optimize import golden_section
 from .qubit import cross_relations, post_inner_products
@@ -243,8 +244,7 @@ def _check_pure_lightlike(rng):
 @_check(0.5)
 def _check_qubit_positivity(rng):
     v = rng.standard_normal((200, 4)) * 2.0
-    dense = np.linalg.eigvalsh(unembed(v, build_basis(2)))[:, 0] >= -DEFAULT_PSD_TOL
-    return qubit_positive(v) != dense, _trials(200)
+    return qubit_positive(v) != is_positive(unembed(v, build_basis(2))), _trials(200)
 
 
 @_check(1e-10)

@@ -3,7 +3,7 @@ import pytest
 
 from conal.basis import build_basis, embed, hs_inner, unembed
 from conal.cone import cone_contains, is_generalized_pure, minkowski_product, psi_matrix
-from conal.linalg import polar_decompose, sqrt_psd
+from conal.linalg import is_positive, polar_decompose, sqrt_psd
 from conal.sampling import random_hermitian, random_psd, random_pure
 
 I2 = np.eye(2, dtype=complex)
@@ -99,15 +99,18 @@ def test_stacked_embed_rows_equal_single_embeds(d, rng, bases):
     products = minkowski_product(vecs, vecs[::-1])
     inside, pure = cone_contains(vecs), is_generalized_pure(vecs, basis)
     matrices, psd = unembed(vecs, basis), random_psd(rng, d, (5,))
+    positive = is_positive(matrices)
     roots, (U, P), psi = sqrt_psd(psd), polar_decompose(stack[0]), psi_matrix(stack[0], basis)
     assert matrices.shape == (5, d, d) and inside.shape == pure.shape == products.shape == (5,)
     assert pure.tolist()[:2] == [True, True] and not pure.all() and inside.any()
+    assert positive.shape == (5,) and positive.any() and not positive.all()
     for idx in np.ndindex(2, 3):
         single = embed(stack[idx], basis)
         assert single.shape == (d * d,)
         assert np.array_equal(rows[idx], single)
     for k, v in enumerate(vecs):
         assert np.array_equal(matrices[k], unembed(v, basis))
+        assert positive[k] == is_positive(matrices[k])
         assert products[k] == minkowski_product(v, vecs[::-1][k])
         assert inside[k] == cone_contains(v) and pure[k] == is_generalized_pure(v, basis)
         assert np.array_equal(roots[k], sqrt_psd(psd[k]))
