@@ -17,6 +17,7 @@ Input files may be given as ``-`` to read from stdin.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -190,7 +191,10 @@ def _cmd_selftest(args) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: ``parse_args`` leaves the parser as it was and
+    # returns a fresh namespace, so in-process callers share one parser.
     parser = argparse.ArgumentParser(
         prog="conal",
         description="Cone representation of quantum states and measurements.",

@@ -72,9 +72,15 @@ class Povm:
 
 def effects_of(meas) -> list[np.ndarray]:
     """POVM effects of a measurement: ``M_m^dagger M_m`` or the effects themselves."""
+    return list(_effect_stack(meas))
+
+
+def _effect_stack(meas) -> np.ndarray:
+    # One batched ``M^dagger M``; its rows equal single products bit for bit.
     if isinstance(meas, Povm):
-        return list(meas.effects)
-    return [M.conj().T @ M for M in meas.kraus]
+        return np.stack(meas.effects)
+    K = np.stack(meas.kraus)
+    return K.conj().swapaxes(-1, -2) @ K
 
 
 @dataclass(frozen=True)
@@ -119,10 +125,10 @@ def validate(
     d = meas.dim
     if basis is None:
         basis = build_basis(d)
-    effects = effects_of(meas)
+    effects = _effect_stack(meas)
     total = sum(effects)
     residual = float(np.max(np.abs(total - np.eye(d))))
-    hermitian = np.stack([(E + E.conj().T) / 2 for E in effects])
+    hermitian = (effects + effects.conj().swapaxes(-1, -2)) / 2
     min_eigs = tuple(np.linalg.eigvalsh(hermitian)[:, 0].tolist())
     conal_sum = embed(hermitian, basis).sum(axis=0)
     failures = []
@@ -182,11 +188,23 @@ def apply_all(meas, rho: np.ndarray, basis: np.ndarray | None = None) -> list[Ou
 
 
 def _apply_valid(meas, rho: np.ndarray, basis: np.ndarray) -> list[OutcomeRecord]:
-    """:func:`apply_all` for a measurement the caller has already validated."""
+    """:func:`apply_all` for a measurement the caller has already validated.
+
+    All outcomes in one stacked ``M rho M^dagger``, ``embed`` and trace; every
+    record equals :func:`apply_outcome` of its operator bit for bit.
+    """
     if isinstance(meas, Povm):
-        operators = [sqrt_psd(E) for E in effects_of(meas)]
+        operators = sqrt_psd(_effect_stack(meas))
     else:
-        operators = list(meas.kraus)
+        operators = np.stack(meas.kraus)
+    posts = operators @ np.asarray(rho, dtype=complex) @ operators.conj().swapaxes(-1, -2)
+    probabilities = np.trace(posts, axis1=-2, axis2=-1).real.tolist()
     return [
-        apply_outcome(M, rho, basis, index=m) for m, M in enumerate(operators)
+        OutcomeRecord(
+            index=m,
+            probability=p,
+            unrescaled=u,
+            rescaled=u / p if p > PROBABILITY_FLOOR else None,
+        )
+        for m, (p, u) in enumerate(zip(probabilities, embed(posts, basis)))
     ]

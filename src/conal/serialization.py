@@ -4,8 +4,15 @@ Matrices travel as ``{"dim": d, "entries": [[[re, im], ...], ...]}`` with
 row-major entries and complex cells as ``[re, im]`` pairs; coordinate
 vectors as ``{"dim": d, "components": [...]}``; measurements as
 ``{"dim": d, "kraus": [...]}`` or ``{"dim": d, "effects": [...]}`` whose
-elements are entries arrays (or full matrix objects).  Non-finite numbers
-are rejected on input.  All numeric output carries 12 significant digits.
+elements are entries arrays (or full matrix objects).  Non-finite numbers,
+and integers too large for a float, are rejected on input.  Matrix and
+vector objects carry 12 significant digits; ``dump_matrix_json`` (the
+``psi`` output) writes the shortest ``repr`` of every value.
+
+Well-formed input is read with one ``np.array`` conversion per matrix or
+vector; only input that fails it is walked cell by cell, to word the error.
+Output values are rounded in one ``%.11e`` pass, and lists of floats are
+written with one join.
 """
 
 from __future__ import annotations
@@ -38,10 +45,14 @@ class InputFormatError(ValueError):
     """Malformed, non-finite, or structurally invalid input data."""
 
 
-def _sig12(x: float) -> float:
-    # Rounding to 12 significant digits keeps text output compact while
-    # round-tripping well inside the 1e-11 relative contract.
-    return float(f"{x:.11e}")
+def _round12(a: np.ndarray) -> list[float]:
+    """The values of ``a`` as Python floats rounded to 12 significant digits.
+
+    Equal bit for bit to ``float(f"{x:.11e}")`` of each value: the text output
+    stays compact and round-trips well inside the 1e-11 relative contract.
+    """
+    values = np.ravel(a).tolist()
+    return list(map(float, ("%.11e " * len(values) % tuple(values)).split()))
 
 
 def _reject_constant(token: str):
@@ -49,17 +60,39 @@ def _reject_constant(token: str):
 
 
 def load_json(text: str):
-    """Parse JSON, refusing NaN/Infinity tokens."""
+    """Parse JSON, refusing NaN/Infinity tokens and nesting too deep to decode."""
     try:
         return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as err:
         raise InputFormatError(
             f"invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}"
         ) from err
+    except RecursionError as err:
+        raise InputFormatError("invalid JSON: nested too deeply") from err
 
 
 def dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, allow_nan=False)
+    """``json.dumps(obj, indent=2, allow_nan=False)`` byte for byte; non-finite floats raise."""
+    return _dump(obj, "\n")
+
+
+def _dump(obj, newline: str) -> str:
+    # ``newline`` is the line break plus the indent of the line ``obj`` starts on.
+    # Dicts with str keys and non-empty lists are written here, a list of finite
+    # floats with one join of ``float.__repr__``; everything else is json's own
+    # rendering, re-indented (JSON strings hold no raw line breaks).
+    inner = newline + "  "
+    if type(obj) is dict and obj and all(type(k) is str for k in obj):
+        items = (json.dumps(k) + ": " + _dump(v, inner) for k, v in obj.items())
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if type(obj) is list and obj:
+        # A finite sum means finite values; an overflowing sum only costs the slow path.
+        if all(type(x) is float for x in obj) and math.isfinite(sum(obj)):
+            items = map(float.__repr__, obj)
+        else:
+            items = (_dump(x, inner) for x in obj)
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return json.dumps(obj, indent=2, allow_nan=False).replace("\n", newline)
 
 
 def dump_matrix_json(dim: int, M: np.ndarray) -> str:
@@ -86,17 +119,45 @@ def _require_dim(obj) -> int:
     return d
 
 
+def _finite(x) -> bool:
+    # An int too large for a float counts as not finite, as it would overflow.
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+def _float_array(obj, d: int, shape: tuple[int, ...], check) -> np.ndarray:
+    """``obj`` as a float array of ``shape``, every bit kept (the sign of zero too).
+
+    Finite ints and floats of that shape take one ``np.array`` conversion.
+    Anything else first goes to ``check(obj, d)``, a value-by-value walk whose
+    job is to word the error; of JSON-decoded input it lets through only
+    all-bool lists and integers beyond ``uint64``, as it always has.
+    """
+    try:
+        a = np.array(obj)
+    except ValueError:  # ragged, or nested deeper than numpy's 64 dimensions
+        pass
+    else:
+        if a.dtype.kind in "fi" and a.shape == shape and np.isfinite(a).all():
+            return np.ascontiguousarray(a, float)
+    check(obj, d)
+    return np.array(obj, dtype=float)
+
+
 def matrix_to_obj(A: np.ndarray) -> dict:
-    A = np.asarray(A, dtype=complex)
-    entries = [
-        [[_sig12(cell.real), _sig12(cell.imag)] for cell in row] for row in A
-    ]
-    return {"dim": A.shape[0], "entries": entries}
+    A = np.ascontiguousarray(A, dtype=complex)
+    cells = np.reshape(_round12(A.view(float)), (*A.shape, 2))
+    return {"dim": A.shape[0], "entries": cells.tolist()}
 
 
 def _entries_to_matrix(entries, d: int) -> np.ndarray:
+    return _float_array(entries, d, (d, d, 2), _check_entries).view(complex)[..., 0]
+
+
+def _check_entries(entries, d: int) -> None:
     _require(isinstance(entries, list) and len(entries) == d, f"expected {d} rows")
-    A = np.empty((d, d), dtype=complex)
     for i, row in enumerate(entries):
         _require(isinstance(row, list) and len(row) == d, f"row {i} must have {d} cells")
         for j, cell in enumerate(row):
@@ -107,11 +168,9 @@ def _entries_to_matrix(entries, d: int) -> np.ndarray:
                 f"cell ({i},{j}) must be a [re, im] pair",
             )
             _require(
-                all(math.isfinite(x) for x in cell),
+                all(_finite(x) for x in cell),
                 f"cell ({i},{j}) is not finite",
             )
-            A[i, j] = complex(cell[0], cell[1])
-    return A
 
 
 def matrix_from_obj(obj) -> np.ndarray:
@@ -123,22 +182,24 @@ def matrix_from_obj(obj) -> np.ndarray:
 def vector_to_obj(v: np.ndarray) -> dict:
     v = np.asarray(v, dtype=float)
     d = math.isqrt(len(v))
-    return {"dim": d, "components": [_sig12(x) for x in v]}
+    return {"dim": d, "components": _round12(v)}
 
 
 def vector_from_obj(obj) -> np.ndarray:
     d = _require_dim(obj)
     _require("components" in obj, 'missing "components" field')
-    comps = obj["components"]
+    return _float_array(obj["components"], d, (d * d,), _check_components)
+
+
+def _check_components(comps, d: int) -> None:
     _require(
         isinstance(comps, list) and len(comps) == d * d,
         f"expected {d * d} components",
     )
     _require(
-        all(isinstance(x, (int, float)) and math.isfinite(x) for x in comps),
+        all(isinstance(x, (int, float)) and _finite(x) for x in comps),
         "components must be finite numbers",
     )
-    return np.asarray(comps, dtype=float)
 
 
 def measurement_from_obj(obj) -> GeneralizedMeasurement | Povm:

@@ -205,6 +205,52 @@ def test_malformed_json_exits_two(capsys, monkeypatch, tmp_path):
     assert "invalid JSON" in err
 
 
+HUGE = "1" + "0" * 400  # an integer literal beyond the largest float
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (("psi", "--matrix"), '{"dim": 2, "entries": [[[%s,0],[0,0]],[[0,0],[1,0]]]}' % HUGE,
+         "cell (0,0) is not finite"),
+        (("embed", "--dim", "2", "--matrix"), '{"dim": 2, "entries": [[[1,0],[0,0]],[[0,-%s],[1,0]]]}' % HUGE,
+         "cell (1,0) is not finite"),
+        (("check", "--vector"), '{"dim": 2, "components": [1, 0, %s, 0]}' % HUGE,
+         "components must be finite numbers"),
+        (("measure", "--state", "STATE", "--measurement"),
+         '{"dim": 2, "kraus": [[[[1,0],[0,0]],[[0,0],[0,0]]],[[[0,0],[0,0]],[[0,0],[%s,0]]]]}' % HUGE,
+         "cell (1,1) is not finite"),
+    ],
+)
+def test_huge_integer_literal_exits_two(tmp_path, capsys, argv, text, message):
+    state = tmp_path / "state.json"
+    state.write_text(MIXED)
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    argv = [str(state) if a == "STATE" else a for a in argv] + [str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_deeply_nested_json_exits_two(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run_cli(capsys, "check", "--vector", str(path))
+    assert (code, out, err) == (2, "", "error: invalid JSON: nested too deeply\n")
+
+
+def test_parser_is_built_once_and_version_still_works(capsys):
+    run_cli(capsys, "basis", "--dim", "2")
+    parser = cli._build_parser()
+    code, out, _ = run_cli(capsys, "basis", "--dim", "3")
+    assert code == 0 and json.loads(out)["dim"] == 3
+    assert cli._build_parser() is parser
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--version"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("conal ")
+
+
 def test_stdin_input(capsys, monkeypatch):
     import io as _io
 

@@ -9,6 +9,7 @@ from conal.measurement import (
     Povm,
     apply_all,
     apply_outcome,
+    effects_of,
     split,
     validate,
 )
@@ -114,6 +115,30 @@ def test_apply_all_single_identity(rng, bases):
 def test_apply_all_rejects_invalid(rng, bases):
     with pytest.raises(ValueError, match="invalid measurement"):
         apply_all(GeneralizedMeasurement(dim=2, kraus=(P0, P0)), random_density(rng, 2), bases[2])
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_stacked_outcomes_equal_single_outcomes(d, rng, bases):
+    # apply_all runs every outcome as one stack; each record must equal
+    # apply_outcome of its operator bit for bit, for Kraus and effect forms.
+    for k in (1, 2, 4):
+        meas = GeneralizedMeasurement(dim=d, kraus=random_kraus_set(rng, d, k))
+        rho = random_density(rng, d)
+        effects = effects_of(meas)
+        assert all(np.array_equal(E, M.conj().T @ M) for E, M in zip(effects, meas.kraus))
+        povm = Povm(dim=d, effects=tuple(effects))
+        for records, operators in (
+            (apply_all(meas, rho, bases[d]), meas.kraus),
+            (apply_all(povm, rho, bases[d]), [sqrt_psd(E) for E in effects]),
+        ):
+            for m, (rec, M) in enumerate(zip(records, operators)):
+                one = apply_outcome(M, rho, bases[d], index=m)
+                assert rec.index == one.index == m
+                assert rec.probability.hex() == one.probability.hex()
+                assert rec.unrescaled.tobytes() == one.unrescaled.tobytes()
+                assert rec.rescaled.tobytes() == one.rescaled.tobytes()
+    zero = apply_all(Povm(dim=2, effects=(P0, P1)), P1, bases[2])
+    assert [rec.rescaled is None for rec in zero] == [True, False]
 
 
 def test_merged_outcomes_add_unrescaled(rng, bases):

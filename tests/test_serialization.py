@@ -1,8 +1,14 @@
 import csv
 import io
+import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conal import serialization
 
 from conal.measurement import GeneralizedMeasurement, Povm, effects_of
 from conal.sampling import random_hermitian
@@ -202,3 +208,188 @@ def test_read_sweep_csv_reads_empty_input_and_line_iterables():
     row = {"c": 0.1, "beta": 0.2, "I_bits": 0.3, "D": 0.4}
     assert read_sweep_csv(io.StringIO(text)) == [row]
     assert read_sweep_csv(iter(text.splitlines())) == [row]
+
+
+def test_load_json_rejects_deep_nesting():
+    with pytest.raises(InputFormatError, match="nested too deeply"):
+        load_json("[" * 100000 + "]" * 100000)
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-5, 1e300, -1e300, 2.2250738585072014e-308,
+                  1.7976931348623157e308, 0.1, 9.999999999995e5, 123456789012.5, -1.5]
+
+
+def _json_values():
+    floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(SPECIAL_FLOATS)
+    leaves = floats | st.integers() | st.booleans() | st.none() | st.text()
+    keys = st.text() | st.sampled_from(["dim", "ünïcödé", "键", "\n\t\"", ""])
+    return st.recursive(
+        leaves | st.lists(floats),
+        lambda inner: st.lists(inner, max_size=5) | st.dictionaries(keys, inner, max_size=5),
+        max_leaves=40,
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_json_values())
+def test_dump_json_equals_json_dumps(obj):
+    assert dump_json(obj) == json.dumps(obj, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "place",
+    [
+        lambda x: x,
+        lambda x: [1.0, x, 2.0],
+        lambda x: {"a": [1.0, 2.0], "b": {"c": [0.5, x]}},
+        lambda x: [[1.0], {"k": x}],
+    ],
+)
+def test_dump_json_rejects_non_finite_as_json_does(bad, place):
+    with pytest.raises(ValueError) as want:
+        json.dumps(place(bad), indent=2, allow_nan=False)
+    with pytest.raises(ValueError) as got:
+        dump_json(place(bad))
+    assert str(got.value) == str(want.value)
+
+
+def test_dump_json_of_overflowing_float_list():
+    # The finiteness check sums the list; a sum that overflows takes the slow path.
+    obj = {"v": [1.7976931348623157e308, 1.7976931348623157e308, -0.0]}
+    assert dump_json(obj) == json.dumps(obj, indent=2, allow_nan=False)
+
+
+def _outcome(read, *args):
+    try:
+        value = read(*args)
+    except InputFormatError as err:
+        return ("error", str(err))
+    return ("ok", value.dtype, value.shape, np.ascontiguousarray(value).view(np.uint8).tobytes())
+
+
+GOOD_CELLS = [[[1, 0], [0.5, -0.0]], [[-0.0, 2**53 + 1], [1e-300, 3]]]
+ENTRIES_CORPUS = [
+    GOOD_CELLS,
+    [[[-0.0, -0.0], [0, 0]], [[0, 0], [-0.0, 0.0]]],
+    [[[2**63, 0], [0, 0]], [[0, 0], [1, 0]]],
+    [[[2**64 - 1, 0], [0, 0]], [[0, 0], [-1, 0]]],
+    [[[2**70, 0], [0, 0]], [[0, 0], [1, 0]]],
+    [[[-(2**70), 0.5], [0, 0]], [[0, 0], [1, 0]]],
+    [[[10**400, 0], [0, 0]], [[0, 0], [1, 0]]],
+    [[[1, 0], [0, 0]], [[0, 0], [1, -(10**400)]]],
+    [[[True, False], [0, 0]], [[0, 0], [True, 0]]],
+    [[[True, False], [False, False]], [[False, False], [True, False]]],
+    [[[1.5, True], [0, 0]], [[0, 0], [1, 0]]],
+    [[["1", 0], [0, 0]], [[0, 0], [1, 0]]],
+    [[[None, 0], [0, 0]], [[0, 0], [1, 0]]],
+    [[[1, 0], [0, 0]], [[0, 0], [{}, 0]]],
+    [[[1, 0], [0, 0]], [[0, 0]]],
+    [[[1, 0], [0, 0]], [[0, 0], [1]]],
+    [[[1, 0], [0, 0]], [[0, 0], [1, 0, 0]]],
+    [[[1, 0], [0, 0]]],
+    [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]],
+    [[1, 0], [0, 1]],
+    [[[1, 0], [0, 0]], [[0, 0], [np.inf, 0]]],
+    [[[1, 0], [np.nan, 0]], [[0, 0], [1, 0]]],
+    [[[[1, 0]], [0, 0]], [[0, 0], [1, 0]]],
+    [[[1, 0], [0, 0]], [[0, 0], json.loads("[" * 100 + "]" * 100)]],
+    [],
+    "entries",
+    None,
+    3.0,
+]
+
+
+def _cell_walk(entries, d):
+    """The cell-by-cell reader: check every cell, then build the matrix from ``complex(re, im)``."""
+    serialization._check_entries(entries, d)
+    return np.array([[complex(re, im) for re, im in row] for row in entries])
+
+
+def _component_walk(components, d):
+    serialization._check_components(components, d)
+    return np.asarray(components, dtype=float)
+
+
+@pytest.mark.parametrize("entries", ENTRIES_CORPUS)
+@pytest.mark.parametrize("d", [2, 3])
+def test_array_path_and_cell_walk_agree(entries, d):
+    got = _outcome(matrix_from_obj, {"dim": d, "entries": entries})
+    assert got == _outcome(_cell_walk, entries, d)
+
+
+COMPONENTS_CORPUS = [
+    [1, 0.5, -0.0, 2**53 + 1],
+    [2**63, 0, 0, 0],
+    [2**64 - 1, -1, 0, 0],
+    [2**70, 0, 0, 0],
+    [10**400, 0, 0, 0],
+    [1, 0, 0, -(10**400)],
+    [True, False, 0, 1.5],
+    [True, False, False, True],
+    ["1", 0, 0, 0],
+    [None, 0, 0, 0],
+    [1, 0, 0],
+    [1, 0, 0, 0, 0],
+    [[1], [0], [0], [0]],
+    [[1, 0], [0, 1]],
+    json.loads("[" * 100 + "]" * 100),
+    [np.inf, 0, 0, 0],
+    [0, 0, 0, np.nan],
+    [],
+    "components",
+    None,
+]
+
+
+@pytest.mark.parametrize("components", COMPONENTS_CORPUS)
+@pytest.mark.parametrize("d", [2, 3])
+def test_vector_array_path_and_walk_agree(components, d):
+    got = _outcome(vector_from_obj, {"dim": d, "components": components})
+    assert got == _outcome(_component_walk, components, d)
+
+
+def test_well_formed_input_skips_the_walk(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("walked well-formed input")
+
+    monkeypatch.setattr(serialization, "_check_entries", refuse)
+    monkeypatch.setattr(serialization, "_check_components", refuse)
+    assert matrix_from_obj({"dim": 2, "entries": GOOD_CELLS}).shape == (2, 2)
+    assert vector_from_obj({"dim": 2, "components": COMPONENTS_CORPUS[0]}).shape == (4,)
+
+
+def test_sign_of_zero_is_kept():
+    A = matrix_from_obj({"dim": 2, "entries": [[[-0.0, -0.0], [0, 0]], [[0, 0], [1, -0.0]]]})
+    assert np.signbit(A.view(float)).ravel().tolist() == [True, True, False, False, False, False, False, True]
+    v = vector_from_obj({"dim": 2, "components": [-0.0, 0, 2**53 + 1, -0.0]})
+    assert np.signbit(v).tolist() == [True, False, False, True]
+    assert v[2] == float(2**53 + 1)
+
+
+def _sig12(x: float) -> float:
+    """The per-value rounding the bulk pass must reproduce."""
+    return float(f"{x:.11e}")
+
+
+def _bits(values) -> list[str]:
+    return [np.float64(x).view(np.uint64).tobytes().hex() if not math.isnan(x) else "nan" for x in values]
+
+
+def test_bulk_rounding_equals_per_value_rounding(rng):
+    specials = np.array(SPECIAL_FLOATS + [np.inf, -np.inf, np.nan, 9.9999999999949e-1, 9.99999999999951e-1,
+                                          np.nextafter(0.0, 1.0), -np.nextafter(1.0, 0.0)])
+    scaled = rng.standard_normal(3000) * 10.0 ** rng.integers(-320, 300, 3000)
+    for values in (specials, scaled, rng.standard_normal((7, 9)), np.empty(0)):
+        want = [_sig12(x) for x in np.ravel(values).tolist()]
+        assert _bits(serialization._round12(values)) == _bits(want)
+    v = rng.standard_normal(16) * 1e3
+    assert vector_to_obj(v) == {"dim": 4, "components": [_sig12(x) for x in v]}
+    A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    A[0, 0] = complex(-0.0, -0.0)
+    entries = [[[_sig12(z.real), _sig12(z.imag)] for z in row] for row in A]
+    got = matrix_to_obj(A)
+    assert got == {"dim": 3, "entries": entries}
+    assert _bits(np.ravel(got["entries"])) == _bits(np.ravel(entries))
+    assert matrix_to_obj(A.T)["entries"] == [[[_sig12(z.real), _sig12(z.imag)] for z in row] for row in A.T]
