@@ -73,6 +73,26 @@ def _cmd_basis(args) -> int:
     return 0
 
 
+def _overflow_is_input_error(cmd):
+    """``cmd`` with floating-point overflow raised as one input error.
+
+    Finite input can overflow inside the arithmetic.  NumPy would warn on
+    stderr and carry on with inf or NaN, and the error that follows would
+    name a value the user never wrote.
+    """
+
+    @functools.wraps(cmd)
+    def run(args) -> int:
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return cmd(args)
+        except FloatingPointError as err:
+            raise InputFormatError(f"input too large for floating point ({err})") from err
+
+    return run
+
+
+@_overflow_is_input_error
 def _cmd_embed(args) -> int:
     A = matrix_from_obj(_load_obj(args.matrix))
     if A.shape[0] != args.dim:
@@ -87,7 +107,10 @@ def _cmd_embed(args) -> int:
     return 0
 
 
+@_overflow_is_input_error
 def _cmd_check(args) -> int:
+    if not (np.isfinite(args.tol) and args.tol >= 0.0):
+        raise InputFormatError(f"--tol must be a finite number >= 0, got {args.tol}")
     v = vector_from_obj(_load_obj(args.vector))
     basis = build_basis(int(np.sqrt(len(v))))
     report = {
@@ -102,12 +125,14 @@ def _cmd_check(args) -> int:
     return 0
 
 
+@_overflow_is_input_error
 def _cmd_psi(args) -> int:
     A = matrix_from_obj(_load_obj(args.matrix))
     print(dump_matrix_json(A.shape[0], psi_matrix(A, build_basis(A.shape[0]))))
     return 0
 
 
+@_overflow_is_input_error
 def _cmd_measure(args) -> int:
     rho = matrix_from_obj(_load_obj(args.state))
     try:

@@ -122,28 +122,49 @@ def validate(
     eigenvalue of every effect, and the coordinate sum of the effects
     (which must be ``(d, 0, ..., 0)`` for a complete measurement).
     """
-    d = meas.dim
     if basis is None:
-        basis = build_basis(d)
-    effects = _effect_stack(meas)
-    total = sum(effects)
-    residual = float(np.max(np.abs(total - np.eye(d))))
+        basis = build_basis(meas.dim)
+    residual, hermitian, min_eigs = _effect_residuals(_effect_stack(meas))
+    residual, min_eigs = float(residual), tuple(min_eigs.tolist())
+    failures = _failures(residual, min_eigs, completeness_tol, psd_tol)
+    return ValidationReport(
+        completeness_residual=residual,
+        min_effect_eigenvalues=min_eigs,
+        conal_sum=embed(hermitian, basis).sum(axis=0),
+        passes=not failures,
+        failures=tuple(failures),
+    )
+
+
+def _effect_residuals(effects: np.ndarray):
+    """Completeness residuals, hermitian parts and smallest eigenvalues of ``(..., n, d, d)`` effect sets.
+
+    The effects of a set are summed in order, so zero effects appended to
+    a set change none of the results.
+    """
+    residual = np.max(np.abs(effects.sum(axis=-3) - np.eye(effects.shape[-1])), axis=(-2, -1))
     hermitian = (effects + effects.conj().swapaxes(-1, -2)) / 2
-    min_eigs = tuple(np.linalg.eigvalsh(hermitian)[:, 0].tolist())
-    conal_sum = embed(hermitian, basis).sum(axis=0)
+    return residual, hermitian, np.linalg.eigvalsh(hermitian)[..., 0]
+
+
+def _failures(residual: float, min_eigs, completeness_tol: float, psd_tol: float) -> list[str]:
+    """Why one measurement fails validation, from its residual and effect minimum eigenvalues."""
     failures = []
     if residual > completeness_tol:
         failures.append(f"completeness residual {residual:.3e} > {completeness_tol:.1e}")
     for m, w in enumerate(min_eigs):
         if w < -psd_tol:
             failures.append(f"effect {m} has negative eigenvalue {w:.3e}")
-    return ValidationReport(
-        completeness_residual=residual,
-        min_effect_eigenvalues=min_eigs,
-        conal_sum=conal_sum,
-        passes=not failures,
-        failures=tuple(failures),
-    )
+    return failures
+
+
+def _require_valid(effects: np.ndarray) -> None:
+    """Raise on the first invalid set of a ``(..., n, d, d)`` effect stack, at the default tolerances."""
+    residual, _, min_eigs = _effect_residuals(effects)
+    for r, w in zip(residual.ravel().tolist(), min_eigs.reshape(-1, min_eigs.shape[-1]).tolist()):
+        failures = _failures(r, w, COMPLETENESS_TOL, DEFAULT_PSD_TOL)
+        if failures:
+            raise ValueError("invalid measurement: " + "; ".join(failures))
 
 
 def split(meas: GeneralizedMeasurement) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -181,9 +202,7 @@ def apply_all(meas, rho: np.ndarray, basis: np.ndarray | None = None) -> list[Ou
     """
     if basis is None:
         basis = build_basis(meas.dim)
-    report = validate(meas, basis=basis)
-    if not report.passes:
-        raise ValueError("invalid measurement: " + "; ".join(report.failures))
+    _require_valid(_effect_stack(meas))
     return _apply_valid(meas, rho, basis)
 
 
@@ -197,8 +216,7 @@ def _apply_valid(meas, rho: np.ndarray, basis: np.ndarray) -> list[OutcomeRecord
         operators = sqrt_psd(_effect_stack(meas))
     else:
         operators = np.stack(meas.kraus)
-    posts = operators @ np.asarray(rho, dtype=complex) @ operators.conj().swapaxes(-1, -2)
-    probabilities = np.trace(posts, axis1=-2, axis2=-1).real.tolist()
+    probabilities, unrescaled = _outcomes(operators, np.asarray(rho, dtype=complex), basis)
     return [
         OutcomeRecord(
             index=m,
@@ -206,5 +224,14 @@ def _apply_valid(meas, rho: np.ndarray, basis: np.ndarray) -> list[OutcomeRecord
             unrescaled=u,
             rescaled=u / p if p > PROBABILITY_FLOOR else None,
         )
-        for m, (p, u) in enumerate(zip(probabilities, embed(posts, basis)))
+        for m, (p, u) in enumerate(zip(probabilities.tolist(), unrescaled))
     ]
+
+
+def _outcomes(operators: np.ndarray, rho: np.ndarray, basis: np.ndarray):
+    """Probabilities and embedded ``M rho M^dagger`` of ``(..., n, d, d)`` operators on broadcasting states.
+
+    Each row equals the single product, trace and :func:`embed` bit for bit.
+    """
+    posts = operators @ rho @ operators.conj().swapaxes(-1, -2)
+    return np.trace(posts, axis1=-2, axis2=-1).real, embed(posts, basis)

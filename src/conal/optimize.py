@@ -1,8 +1,16 @@
-"""Derivative-free scalar minimization helpers."""
+"""Derivative-free minimization helpers.
+
+:func:`golden_section` also runs many independent searches over one bracket
+as a single stacked search, one objective call per step for all of them.
+"""
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
+
+from .linalg import as_floats
 
 __all__ = ["golden_section", "minimize_periodic"]
 
@@ -10,11 +18,16 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
 
 
-def golden_section(f, a: float, b: float, tol: float = 1e-8) -> tuple[float, float]:
+def golden_section(f, a: float, b: float, tol: float = 1e-8):
     """Golden-section search for the minimum of a unimodal ``f`` on ``[a, b]``.
 
     Returns ``(x, f(x))`` at the midpoint of the final bracket, whose width
-    is at most ``tol``.
+    is at most ``tol``.  An ``f`` that broadcasts, returning an array of
+    values for one abscissa, runs one search per entry: every search starts
+    from the same bracket and takes the same number of steps, so they step
+    together, one call of ``f`` on an array of abscissae per step.  ``x``
+    and ``f(x)`` are then arrays whose entries equal the searches run one
+    at a time bit for bit.  A scalar ``f`` gives floats.
     """
     a, b = min(a, b), max(a, b)
     h = b - a
@@ -28,16 +41,18 @@ def golden_section(f, a: float, b: float, tol: float = 1e-8) -> tuple[float, flo
     yd = f(d)
     for _ in range(n - 1):
         h *= _INV_PHI
-        if yc < yd:
-            b, d, yd = d, c, yc
-            c = a + _INV_PHI_SQ * h
-            yc = f(c)
-        else:
-            a, c, yc = c, d, yd
-            d = a + _INV_PHI * h
-            yd = f(d)
-    x = (a + d) / 2 if yc < yd else (c + b) / 2
-    return x, f(x)
+        # Keep [a, d] and probe a new c where yc < yd, else keep [c, b] and probe a new d.
+        left = yc < yd
+        a, b, c, d = (
+            np.where(left, a, c),
+            np.where(left, d, b),
+            np.where(left, a + _INV_PHI_SQ * h, d),
+            np.where(left, c, c + _INV_PHI * h),
+        )
+        y = f(np.where(left, c, d))
+        yc, yd = np.where(left, y, yd), np.where(left, yc, y)
+    x = as_floats(np.where(yc < yd, (a + d) / 2, (c + b) / 2))[0]
+    return x, as_floats(f(x))[0]
 
 
 def minimize_periodic(

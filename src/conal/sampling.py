@@ -22,6 +22,8 @@ __all__ = [
     "random_kraus_set",
     "hermitian_part",
     "gram",
+    "qr_unitary",
+    "complete_kraus",
 ]
 
 
@@ -67,12 +69,34 @@ def random_pure(rng: np.random.Generator, d: int, shape: tuple = ()) -> np.ndarr
     return psi[..., :, None] * psi.conj()[..., None, :]
 
 
+def qr_unitary(G: np.ndarray) -> np.ndarray:
+    """Unitary QR factor of a matrix or a ``(..., d, d)`` stack, with the standard phase fix.
+
+    The phases make ``R``'s diagonal positive, so a standard-normal complex
+    ``G`` gives a Haar-distributed unitary.
+    """
+    Q, R = np.linalg.qr(G)
+    phases = np.diagonal(R, axis1=-2, axis2=-1).copy()
+    phases /= np.abs(phases)
+    return Q * phases[..., None, :]
+
+
 def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     """Haar-distributed unitary via QR with the standard phase fix."""
-    Q, R = np.linalg.qr(random_complex(rng, d))
-    phases = np.diag(R).copy()
-    phases /= np.abs(phases)
-    return Q * phases
+    return qr_unitary(random_complex(rng, d))
+
+
+def complete_kraus(G: np.ndarray) -> np.ndarray:
+    """Right-normalize ``(..., n, d, d)`` operator sets to complete measurements.
+
+    Each set ``G_m`` becomes ``G_m S^{-1/2}`` with ``S = sum_m G_m^dag G_m``,
+    so that ``sum_m M_m^dag M_m = I``.  Zero operators leave ``S`` and the
+    other operators unchanged bit for bit, so sets of different sizes can
+    share one stack, zero-padded.
+    """
+    w, V = np.linalg.eigh(gram(G).sum(axis=-3))
+    S_inv_half = (V / np.sqrt(w)[..., None, :]) @ V.conj().swapaxes(-1, -2)
+    return G @ S_inv_half[..., None, :, :]
 
 
 def random_kraus_set(
@@ -80,12 +104,9 @@ def random_kraus_set(
 ) -> list[np.ndarray]:
     """Random complete measurement: operators ``M_m`` with ``sum M_m^dag M_m = I``.
 
-    Draws independent complex matrices ``G_m`` and right-normalizes by
-    ``S^{-1/2}`` where ``S = sum G_m^dag G_m``.
+    Draws independent complex matrices ``G_m`` and completes them with
+    :func:`complete_kraus`.
     """
     if n_outcomes < 1:
         raise ValueError("need at least one outcome")
-    Gs = random_complex(rng, d, (n_outcomes,))
-    w, V = np.linalg.eigh(gram(Gs).sum(axis=0))
-    S_inv_half = (V / np.sqrt(w)) @ V.conj().T
-    return list(Gs @ S_inv_half)
+    return list(complete_kraus(random_complex(rng, d, (n_outcomes,))))

@@ -3,7 +3,9 @@
 Each check draws its randomness from a single generator, so a fixed seed
 makes the whole run bit-reproducible.  A check draws all its samples of one
 dimension as one stack, in the order a loop over trials would draw them,
-and runs each kernel and each dense oracle once on the stack.  It returns
+and runs each kernel and each dense oracle once on the stack.  Where a
+trial's draws interleave kinds (an outcome count or an angle between
+normals), only the draws run in a loop.  It returns
 its ``(input, residual)`` array with the inputs in draw order, and
 :func:`_check` reduces that to a :class:`CheckResult`: the worst residual,
 the tolerance it must not exceed, and the input where it occurred.
@@ -17,7 +19,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import (
-    apply_all,
     build_basis,
     cone_contains,
     embed,
@@ -36,19 +37,18 @@ from . import (
     unembed,
 )
 from .linalg import dot_last
-from .measurement import GeneralizedMeasurement
+from .measurement import _outcomes, _require_valid
 from .optimize import golden_section
 from .qubit import cross_relations, post_inner_products
 from .sampling import (
+    complete_kraus,
     gram,
     hermitian_part,
+    qr_unitary,
     random_complex,
-    random_density,
     random_hermitian,
-    random_kraus_set,
     random_psd,
     random_pure,
-    random_unitary,
 )
 from .tradeoff import VERIFY_TOL, closed_form_table, pipeline_residual, repair_objective
 
@@ -192,18 +192,19 @@ def _check_psi_unitary(rng):
     def residuals(d):
         basis = build_basis(d)
         eye = np.eye(d * d)
-        U = np.empty((20, d, d), dtype=complex)
-        phase = np.empty(20, dtype=complex)
+        G = np.empty((20, d, d), dtype=complex)
+        angle = np.empty(20)
         # Each unitary is followed by its phase in the stream, so trials draw in a loop.
         for t in range(20):
-            U[t] = random_unitary(rng, d)
-            phase[t] = np.exp(1j * rng.uniform(0, 2 * np.pi))
+            G[t] = random_complex(rng, d)
+            angle[t] = rng.uniform(0, 2 * np.pi)
+        U = qr_unitary(G)
         R = psi_matrix(U, basis)
         return np.stack([
             _max_abs(R.swapaxes(-1, -2) @ R - eye),
             abs(np.linalg.det(R) - 1.0),
             _max_abs(R[:, :, 0] - eye[:, 0], axis=-1),
-            _max_abs(psi_matrix(phase[:, None, None] * U, basis) - R),
+            _max_abs(psi_matrix(np.exp(1j * angle)[:, None, None] * U, basis) - R),
         ], axis=-1)
 
     return _per_dim((2, 3), 20, residuals)
@@ -295,33 +296,38 @@ def _check_qubit_post_products(rng):
 @_check(1e-10)
 def _check_measurement_statistics(rng):
     def residuals(d):
-        basis = build_basis(d)
-        worst = []
-        # The outcome count is drawn from the stream, so trials draw in a loop;
-        # a trial's row is its largest residual, since all of them share its input.
-        for _ in range(25):
-            meas = GeneralizedMeasurement(
-                dim=d, kraus=random_kraus_set(rng, d, rng.integers(2, 5))
-            )
-            records = apply_all(meas, random_density(rng, d), basis)
-            row = [abs(sum(rec.probability for rec in records) - 1.0)]
-            row += [abs(rec.unrescaled[0] - rec.probability) for rec in records]
-            worst.append(np.max(row))
-        return worst
+        G = np.zeros((25, 4, d, d), dtype=complex)
+        B = np.empty((25, d, d), dtype=complex)
+        # The outcome count is drawn from the stream, so trials draw in a loop.
+        # Each trial's 2-4 operators are zero-padded to 4, which changes no
+        # result: zero operators add nothing to any sum and have no outcome.
+        for t in range(25):
+            n = rng.integers(2, 5)
+            G[t, :n] = random_complex(rng, d, (n,))
+            B[t] = random_psd(rng, d)
+        kraus = complete_kraus(G)
+        _require_valid(gram(kraus))
+        rho = B / _trace(B).real[:, None, None]
+        probability, unrescaled = _outcomes(kraus, rho[:, None], build_basis(d))
+        return np.concatenate([
+            abs(probability.sum(axis=-1) - 1.0)[:, None],
+            abs(unrescaled[..., 0] - probability),
+        ], axis=-1)
 
     return _per_dim((2, 3), 25, residuals)
 
 
 @_check(1e-6)
 def _check_repair(rng):
-    samples = [(*rng.uniform(0.02, 0.5, 2), rng.uniform(0.0, 1.5)) for _ in range(100)]
-    omegas, d_mins = optimal_repair(*np.array(samples).T)
-    numeric = [
-        golden_section(lambda w: repair_objective(p, q, delta, w), -np.pi / 2, np.pi / 2, 1e-9)
-        for p, q, delta in samples
-    ]
-    residuals = np.abs(np.stack([omegas, d_mins], axis=-1) - np.array(numeric))
-    return residuals, [{"p": p, "q": q, "delta": delta} for p, q, delta in samples]
+    # ``Generator.uniform`` draws ``low + (high - low) * random()``; one draw of
+    # the whole table takes the same numbers as a (p, q), delta loop.
+    low, high = np.array([0.02, 0.02, 0.0]), np.array([0.5, 0.5, 1.5])
+    p, q, delta = (low + (high - low) * rng.random((100, 3))).T
+    omegas, d_mins = optimal_repair(p, q, delta)
+    numeric = golden_section(lambda w: repair_objective(p, q, delta, w), -np.pi / 2, np.pi / 2, 1e-9)
+    residuals = np.abs(np.stack([omegas, d_mins], axis=-1) - np.stack(numeric, axis=-1))
+    inputs = zip(p.tolist(), q.tolist(), delta.tolist())
+    return residuals, [{"p": p, "q": q, "delta": delta} for p, q, delta in inputs]
 
 
 @_check(VERIFY_TOL)

@@ -177,14 +177,15 @@ def info_contribution(p, q):
     return as_floats((p + q) + _xlog2x(p) + _xlog2x(q) - _xlog2x(p + q))[0]
 
 
-def repair_objective(p: float, q: float, delta: float, omega: float) -> float:
+def repair_objective(p, q, delta, omega):
     """Disturbance of one outcome at bisector offset ``omega``.
 
     ``delta`` is the offset of each post state from its target when the
     bisectors are aligned, i.e. half the angular deficit
-    ``(theta - theta_m) / 2``.
+    ``(theta - theta_m) / 2``.  Broadcasts over arrays; floats in give a
+    float out.
     """
-    return (p + q - p * math.cos(delta - omega) - q * math.cos(delta + omega)) / 2.0
+    return as_floats((p + q - p * np.cos(delta - omega) - q * np.cos(delta + omega)) / 2.0)[0]
 
 
 def optimal_repair(p, q, delta):
@@ -361,17 +362,6 @@ class StationarityReport:
 MIRROR_FLIP_INDEX = 1
 
 
-def _in_cone_pair(eps0: np.ndarray) -> bool:
-    return qubit_positive(eps0) and qubit_positive(ATTACK_TOTAL - eps0)
-
-
-def _central_gradient(f, x: np.ndarray, h: float) -> np.ndarray:
-    """Central differences of ``f`` at ``x``, from one call of ``f`` on the stack of all probes."""
-    steps = h * np.eye(len(x))
-    plus, minus = np.split(f(np.concatenate([x + steps, x - steps])), 2)
-    return (plus - minus) / (2.0 * h)
-
-
 def stationarity_check(
     c: float, beta: float, h: float = 1e-5, tol: float = 1e-5
 ) -> StationarityReport:
@@ -386,7 +376,9 @@ def stationarity_check(
     everywhere except a sign flip on the state-separating axis.
 
     Steps that would push either effect out of the positive cone are
-    rejected and retried with a smaller ``h``.
+    rejected and retried with a smaller ``h``.  All gradients come from one
+    :func:`outcome_info` and one :func:`outcome_disturbance` call on the
+    stack of every probe.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError("stationarity is checked at interior attack strengths")
@@ -395,21 +387,24 @@ def stationarity_check(
 
     step = h
     for _ in range(60):
-        probes = [eps0 + s * np.eye(4)[mu] for mu in range(4) for s in (step, -step)]
-        if all(_in_cone_pair(e) for e in probes):
+        steps = step * np.eye(4)
+        around0 = np.concatenate([eps0 + steps, eps0 - steps])
+        if np.all(qubit_positive(around0)) and np.all(qubit_positive(ATTACK_TOTAL - around0)):
             break
         step /= 2.0
     else:
         raise ValueError("could not find a perturbation step inside the cone")
 
-    def total_info(e0: np.ndarray) -> float:
-        return outcome_info(e0, sc) + outcome_info(ATTACK_TOTAL - e0, sc)
+    # Rows: the first effect at eps0 +/- step, the second (its complement)
+    # there, and the first at eps1 +/- step; each block is (+, -) by coordinate.
+    probes = np.concatenate([around0, ATTACK_TOTAL - around0, eps1 + steps, eps1 - steps])
+    info, dist = (f(probes, sc).reshape(3, 2, 4) for f in (outcome_info, outcome_disturbance))
 
-    def total_disturbance(e0: np.ndarray) -> float:
-        return outcome_disturbance(e0, sc) + outcome_disturbance(ATTACK_TOTAL - e0, sc)
+    def central(values: np.ndarray) -> np.ndarray:
+        return (values[0] - values[1]) / (2.0 * step)
 
-    grad_info = _central_gradient(total_info, eps0, step)
-    grad_dist = _central_gradient(total_disturbance, eps0, step)
+    grad_info = central(info[0] + info[1])
+    grad_dist = central(dist[0] + dist[1])
 
     info_dir = grad_info / np.linalg.norm(grad_info)
     # Orthonormal basis of the constant-information subspace.
@@ -422,12 +417,10 @@ def stationarity_check(
     info_along_x = bool(np.max(off_axis) <= 1e-6)
 
     mirror_residual = 0.0
-    for func in (outcome_info, outcome_disturbance):
-        g0 = _central_gradient(lambda e: func(e, sc), eps0, step)
-        g1 = _central_gradient(lambda e: func(e, sc), eps1, step)
-        expected = g1.copy()
+    for values in (info, dist):
+        expected = central(values[2])
         expected[MIRROR_FLIP_INDEX] *= -1.0
-        mirror_residual = max(mirror_residual, float(np.max(np.abs(g0 - expected))))
+        mirror_residual = max(mirror_residual, float(np.max(np.abs(central(values[0]) - expected))))
     mirror_ok = mirror_residual <= 1e-6
 
     return StationarityReport(

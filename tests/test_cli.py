@@ -100,15 +100,46 @@ def test_psi_output_is_dump_json_layout(tmp_path, capsys):
     assert out == dump_json(json.loads(out)) + "\n"
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+OVERFLOW = "error: input too large for floating point (overflow encountered in matmul)\n"
+
+
+@pytest.mark.filterwarnings("error")
 def test_psi_overflow_exits_two(tmp_path, capsys):
-    # Finite input whose conjugation matrix overflows to a non-finite value.
+    # Finite input whose conjugation matrix overflows: one error line, no
+    # numpy warnings and no complaint about a non-finite value the user never wrote.
     path = tmp_path / "huge.json"
     path.write_text('{"dim": 2, "entries": [[[1e200,0],[0,0]],[[0,0],[1e200,0]]]}')
-    code, out, err = run_cli(capsys, "psi", "--matrix", str(path))
-    assert code == 2
-    assert out == ""
-    assert "Out of range float values are not JSON compliant" in err
+    assert run_cli(capsys, "psi", "--matrix", str(path)) == (2, "", OVERFLOW)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (("check", "--vector"), '{"dim": 2, "components": [1e308, 1e308, 0, 0]}'),
+        (("embed", "--dim", "2", "--matrix"),
+         '{"dim": 2, "entries": [[[1e308,0],[1e308,0]],[[1e308,0],[1e308,0]]]}'),
+        # Exit 1 (an incomplete measurement) before overflow became an input error.
+        (("measure", "--state", "STATE", "--measurement"),
+         '{"dim": 2, "kraus": [[[[1e200,0],[0,0]],[[0,0],[0,0]]],[[[0,0],[0,0]],[[0,0],[1,0]]]]}'),
+    ],
+)
+def test_overflow_is_one_error_line(tmp_path, capsys, argv, text):
+    state = tmp_path / "state.json"
+    state.write_text(MIXED)
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    argv = [str(state) if a == "STATE" else a for a in argv] + [str(path)]
+    assert run_cli(capsys, *argv) == (2, "", OVERFLOW)
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_check_rejects_nonsense_tolerance(tmp_path, capsys, tol):
+    path = tmp_path / "v.json"
+    path.write_text('{"dim": 2, "components": [1, 0, 0, 0]}')
+    code, out, err = run_cli(capsys, "check", "--tol", tol, "--vector", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --tol must be a finite number >= 0") and err.count("\n") == 1
 
 
 def test_measure_projective(tmp_path, capsys):
