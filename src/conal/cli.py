@@ -10,7 +10,8 @@ measure   apply a measurement to a state, one record per outcome
 tradeoff  CSV sweep of the information/disturbance curve
 selftest  run the seeded property suite
 
-Exit codes: 0 success, 1 validation failure, 2 malformed input.
+Exit codes: 0 success, 1 validation failure, 2 malformed input, 141 when
+stdout is closed before the output is written.
 Input files may be given as ``-`` to read from stdin.
 """
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 import numpy as np
@@ -50,6 +52,10 @@ from .selftest import run_selftest
 
 #: Tolerance on the unit trace and the positivity of a density matrix read from input.
 STATE_TOL = 1e-9
+
+#: Exit code when stdout is closed early: 128 + SIGPIPE, as the shell reports a
+#: tool that the signal ends, and apart from the 0/1/2 verdicts.
+BROKEN_PIPE_EXIT = 141
 
 
 def _read_text(path: str) -> str:
@@ -107,10 +113,14 @@ def _cmd_embed(args) -> int:
     return 0
 
 
+def _require_tolerance(option: str, tol: float) -> None:
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise InputFormatError(f"{option} must be a finite number >= 0, got {tol}")
+
+
 @_overflow_is_input_error
 def _cmd_check(args) -> int:
-    if not (np.isfinite(args.tol) and args.tol >= 0.0):
-        raise InputFormatError(f"--tol must be a finite number >= 0, got {args.tol}")
+    _require_tolerance("--tol", args.tol)
     v = vector_from_obj(_load_obj(args.vector))
     basis = build_basis(int(np.sqrt(len(v))))
     report = {
@@ -192,6 +202,7 @@ def _parse_grid(spec: str) -> np.ndarray:
 def _cmd_tradeoff(args) -> int:
     if not 0.0 <= args.c <= 1.0:
         raise InputFormatError(f"--c must lie in [0, 1], got {args.c}")
+    _require_tolerance("--verify-tol", args.verify_tol)
     table = closed_form_table(args.c, _parse_grid(args.beta_grid))
     if args.out == "-":
         write_sweep_csv(table, sys.stdout, extended=args.extended)
@@ -270,7 +281,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader has gone (``conal selftest | head -1``).  Later flushes,
+        # the interpreter's last one too, go to /dev/null, so no traceback or
+        # "Exception ignored" line follows; exit as a tool killed by SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE_EXIT
     except InputFormatError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -12,7 +12,9 @@ vector objects carry 12 significant digits; ``dump_matrix_json`` (the
 Well-formed input is read with one ``np.array`` conversion per matrix or
 vector; only input that fails it is walked cell by cell, to word the error.
 Output values are rounded in one ``%.11e`` pass, and lists of floats are
-written with one join.
+written with one join.  The sweep CSV's ``%.11e`` text comes from an array
+kernel, byte for byte Python's; Python formats only the values next to a
+rounding tie or outside the kernel's power-of-ten table.
 """
 
 from __future__ import annotations
@@ -231,6 +233,94 @@ _EXTENDED_FIELDS = _BASE_FIELDS + [
 ]
 
 
+#: Rows formatted per block, so a huge grid holds no whole-grid integer temporaries.
+_BLOCK_ROWS = 16384
+
+_U8 = np.dtype("<u8")
+
+#: ASCII of 0..999 as three digits, packed little-endian into the low bytes.
+_D3 = ((np.arange(1000)[:, None] // [100, 10, 1] % 10 + ord("0")) << [0, 8, 16]).sum(1).astype(_U8)
+
+#: ``d.dd`` of 100..999: the leading digit, the point, two digits.
+_LEAD = (_D3 & 0xFF) | ord(".") << 8 | (_D3 & 0xFFFF00) << 8
+
+#: An exponent's digits: two below 100, with a zero byte in place of the third.
+_EXP = np.where(np.arange(1000) < 100, _D3 & 0xFFFF00, _D3).astype(_U8)
+
+#: ``e`` and the exponent's sign, in the top two bytes of the second word.
+_E_PLUS = np.array(ord("e") << 48 | ord("+") << 56, _U8)
+_E_MINUS = np.array(ord("e") << 48 | ord("-") << 56, _U8)
+
+#: ``10.0**k`` correctly rounded, for ``k`` in -297..308, from exact integers.
+_POW10 = np.array([1 / 10**-k if k < 0 else float(10**k) for k in range(-297, 309)])
+
+
+def _sci12_lines(block: np.ndarray) -> str:
+    """The rows of ``block`` as ``%.11e`` values joined by ``,``, each row ending in ``\\r\\n``.
+
+    Byte for byte what ``"%.11e" % x`` writes.  Each value becomes a mantissa
+    ``m = round(|x| 10^(11 - e))`` in ``[1e11, 1e12)`` and an exponent ``e``,
+    scaled by one multiply by a correctly rounded power of ten: two roundings,
+    under 2.3e-4 in ``m``.  Python formats each value whose scaled form lies
+    within 1e-3 of a rounding tie, and each nonzero value the table cannot
+    scale (non-finite, subnormal, or below 1e-297).
+
+    A value's text is built in three little-endian 64-bit words, zero bytes
+    standing for an absent ``-`` or third exponent digit and for padding:
+    ``[-]d.ddddd``, ``dddddde±`` and ``[d]dd`` plus the separator.  The zero
+    bytes are deleted at the end.
+    """
+    rows, cols = block.shape
+    x = np.asarray(block, dtype=float).ravel()
+    a = np.abs(x)
+    exact = np.isfinite(x) & (a >= np.finfo(float).tiny)
+    a = np.where(exact, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    s = _scale(a, e)
+    # log10 can be one off next to a power of ten; the unrounded s shows it.
+    fix = (s >= 1e12).astype(np.int64) - (s < 1e11)
+    if np.count_nonzero(fix):
+        e += fix
+        s = _scale(a, e)
+    whole = np.floor(s)
+    frac = s - whole
+    exact &= (np.abs(frac - 0.5) > 1e-3) & (e >= -297)  # not near a tie, 10^(11 - e) in the table
+    m = (whole + (frac > 0.5)).astype(np.int64)
+    carry = m == 10**12  # rounded up to the next power of ten
+    m[carry] = 10**11
+    e += carry
+    zero = x == 0.0
+    m[zero] = 0
+    e[zero] = 0
+
+    high = m // 1_000_000
+    low = m - high * 1_000_000
+    words = np.empty((rows * cols, 3), _U8)
+    words[:, 0] = (
+        np.signbit(x).astype(_U8) * ord("-") | _LEAD[high // 1000] << 8 | _D3[_mod1000(high)] << 40
+    )
+    words[:, 1] = _D3[low // 1000] | _D3[_mod1000(low)] << 24 | np.where(e < 0, _E_MINUS, _E_PLUS)
+    separators = np.full(cols, ord(","), _U8)
+    separators[-1] = ord("\r") | ord("\n") << 8
+    words[:, 2] = (_EXP[np.abs(e)].reshape(rows, cols) | separators << 24).ravel()
+    text = words.view(np.uint8)
+    slow = np.flatnonzero(~(exact | zero))
+    if len(slow):
+        python = "".join(["%-19.11e" % v for v in x[slow].tolist()]).replace(" ", "\0")
+        text[slow, :19] = np.frombuffer(python.encode("ascii"), np.uint8).reshape(-1, 19)
+    return text.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _mod1000(n: np.ndarray) -> np.ndarray:
+    # numpy's ``%`` on int64 is several times slower than its ``//``.
+    return n - n // 1000 * 1000
+
+
+def _scale(a: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """``a * 10^(11 - e)`` by a table power of ten, the exponent clipped to the table."""
+    return a * _POW10[np.minimum(11 - e, 308) + 297]
+
+
 def write_sweep_csv(table: ClosedFormTable, f, extended: bool = False) -> None:
     """Write a closed-form table as CSV, one row per point.
 
@@ -243,9 +333,10 @@ def write_sweep_csv(table: ClosedFormTable, f, extended: bool = False) -> None:
         for m in (0, 1):
             columns += [table.p[:, m], table.q[:, m], table.omega[:, m], table.delta[:, m]]
     fields = _EXTENDED_FIELDS if extended else _BASE_FIELDS
-    row = ",".join(["%.11e"] * len(fields)) + "\r\n"
-    values = tuple(np.column_stack(columns).ravel().tolist())
-    f.write(",".join(fields) + "\r\n" + (row * len(table.c)) % values)
+    f.write(",".join(fields) + "\r\n")
+    for start in range(0, len(table.c), _BLOCK_ROWS):
+        block = np.column_stack([col[start:start + _BLOCK_ROWS] for col in columns])
+        f.write(_sci12_lines(block))
 
 
 def read_sweep_csv(f) -> list[dict[str, float]]:

@@ -193,12 +193,16 @@ def optimal_repair(p, q, delta):
 
     Returns ``(omega, d_min)`` with
 
-    ``omega = arcsin((p - q) sin(delta) / sqrt(p^2 + q^2 + 2 p q cos(2 delta)))``
-    ``d_min = (p + q - sqrt(p^2 + q^2 + 2 p q cos(2 delta))) / 2``
+    ``omega = arcsin((p - q) sin(delta) / amp)``
+    ``d_min = (p + q - amp) / 2 = 2 p q sin(delta)^2 / (p + q + amp)``
 
-    valid for ``delta`` in ``[0, pi/2]``.  At the degenerate point
-    ``p == q, cos(2 delta) == -1`` the objective is flat and ``omega = 0``
-    by continuity.  Broadcasts over arrays; floats in give floats out.
+    with ``amp = sqrt(p^2 + q^2 + 2 p q cos(2 delta))``, valid for ``delta``
+    in ``[0, pi/2]``.  The two forms of ``d_min`` are equal because
+    ``(p + q)^2 - amp^2 = 4 p q sin(delta)^2``; the second has no
+    cancellation when ``amp`` is close to ``p + q`` (small ``delta``).  At
+    the degenerate point ``p == q, cos(2 delta) == -1`` the objective is
+    flat, ``omega = 0`` by continuity and ``d_min = (p + q) / 2``.
+    Broadcasts over arrays; floats in give floats out.
     """
     p, q, delta = (np.asarray(x, dtype=float) for x in (p, q, delta))
     total = p + q
@@ -206,9 +210,11 @@ def optimal_repair(p, q, delta):
         raise ValueError("need nonnegative probabilities with positive sum")
     amp = np.sqrt(np.maximum(p * p + q * q + 2.0 * p * q * np.cos(2.0 * delta), 0.0))
     flat = amp <= 1e-15 * total
-    arg = (p - q) * np.sin(delta) / np.where(flat, 1.0, amp)
+    sin = np.sin(delta)
+    arg = (p - q) * sin / np.where(flat, 1.0, amp)
     omega = np.where(flat, 0.0, np.arcsin(np.minimum(np.maximum(arg, -1.0), 1.0)))
-    return as_floats(omega, np.where(flat, total, total - amp) / 2.0)
+    d_min = 2.0 * p * q * sin * sin / (total + amp)
+    return as_floats(omega, np.where(flat, total / 2.0, d_min))
 
 
 def outcome_info(eps, sc: Scenario):

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,6 +144,30 @@ def test_check_rejects_nonsense_tolerance(tmp_path, capsys, tol):
     code, out, err = run_cli(capsys, "check", "--tol", tol, "--vector", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error: --tol must be a finite number >= 0") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_tradeoff_rejects_nonsense_verify_tolerance(capsys, tol):
+    argv = ["tradeoff", "--c", "0.5", "--beta-grid", "0:1:3", "--verify", "--verify-tol", tol]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --verify-tol must be a finite number >= 0") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("selftest",), ("basis", "--dim", "12"), ("tradeoff", "--c", "0.5", "--beta-grid", "0:1:20001")],
+)
+def test_closed_stdout_exits_quietly(argv):
+    # The reader closes the pipe before the first write, as a quick ``| head`` can.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "conal.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == cli.BROKEN_PIPE_EXIT
+    assert err == b""
 
 
 def test_measure_projective(tmp_path, capsys):

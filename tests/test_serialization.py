@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from conal import serialization
+from conal import cli, serialization
 
 from conal.measurement import GeneralizedMeasurement, Povm, effects_of
 from conal.sampling import random_hermitian
@@ -393,3 +394,89 @@ def test_bulk_rounding_equals_per_value_rounding(rng):
     assert got == {"dim": 3, "entries": entries}
     assert _bits(np.ravel(got["entries"])) == _bits(np.ravel(entries))
     assert matrix_to_obj(A.T)["entries"] == [[[_sig12(z.real), _sig12(z.imag)] for z in row] for row in A.T]
+
+
+def _percent_e_lines(block) -> str:
+    """The oracle of ``_sci12_lines``: per-value ``"%.11e" % x``, joined as CSV rows."""
+    return "".join(",".join("%.11e" % x for x in row) + "\r\n" for row in np.asarray(block).tolist())
+
+
+def _first_difference(got: str, want: str):
+    """None for equal texts, else the first pair of differing lines.
+
+    pytest's own diff of two long texts takes minutes.
+    """
+    for pair in zip(got.splitlines(True), want.splitlines(True)):
+        if pair[0] != pair[1]:
+            return pair
+    return None if got == want else (len(got), len(want))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=9),
+        elements=st.floats(width=64),
+    )
+)
+def test_sci12_kernel_equals_percent_e_on_any_float(block):
+    assert _first_difference(serialization._sci12_lines(block), _percent_e_lines(block)) is None
+
+
+def test_sci12_kernel_on_exact_rounding_ties(rng):
+    # n + 0.5 and its multiples by 10, 100, 1000 have 13 significant digits,
+    # the last a 5, and are exact in binary: "%.11e" rounds them half to even.
+    # Divided by powers of ten they land within an ulp or so of a tie.
+    n = rng.integers(10**11, 10**12, 2000) + 0.5
+    ties = np.concatenate([n, n * 10.0, n * 100.0, n * 1000.0, [9.999999999995, 999999999999.5, 100000000000.5]])
+    for values in (ties, -ties, ties / 10.0**rng.integers(1, 250, len(ties))):
+        block = values[: len(values) // 4 * 4].reshape(-1, 4)
+        assert _first_difference(serialization._sci12_lines(block), _percent_e_lines(block)) is None
+
+
+def test_sci12_kernel_next_to_powers_of_ten_and_rounding_carries():
+    # (1 - 5e-13) 10^e is where the 12-digit mantissa rounds up to 10^e.
+    powers = np.array([float(f"1e{k}") for k in range(-307, 309)])
+    up = down = np.concatenate([powers, powers * (1.0 - 5e-13)])
+    near = [up]
+    for _ in range(3):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+        near += [up, down]
+    values = np.concatenate(near)
+    block = np.concatenate([values, -values]).reshape(-1, 4)
+    assert _first_difference(serialization._sci12_lines(block), _percent_e_lines(block)) is None
+
+
+@pytest.mark.parametrize("offset", [-1.0, 1.0])
+def test_sci12_kernel_corrects_an_exponent_one_off(monkeypatch, rng, offset):
+    # log10 may round across an integer next to a power of ten; shift every
+    # exponent by one and the scaled value must put it right.
+    block = rng.standard_normal((50, 6)) * 10.0 ** rng.integers(-250, 250, (50, 6))
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + offset)
+    assert _first_difference(serialization._sci12_lines(block), _percent_e_lines(block)) is None
+
+
+def test_sci12_kernel_on_long_exponents_subnormals_and_signed_zero():
+    row = [1.5e-150, -0.0, 5e-324, -2.5e-310, 1e200, -3.25e-105, 0.0, 1.7976931348623157e308,
+           2.2250738585072014e-308, -1e-297, 9.99999999999e-298, np.inf, -np.inf, np.nan, 1e-100]
+    for block in (np.array([row]), np.array([row[::-1], row]), np.array(row)[:, None]):
+        text = serialization._sci12_lines(block)
+        assert _first_difference(text, _percent_e_lines(block)) is None
+        assert "-0.00000000000e+00" in text and "e-324" in text and "e+308" in text
+    assert serialization._sci12_lines(np.empty((0, 4))) == ""
+
+
+@pytest.mark.parametrize("extended", [False, True])
+@pytest.mark.parametrize("grid", ["0:1:1001", "0:1:101", "0:1:1"])
+@pytest.mark.parametrize("c", [0.0, 1e-6, 0.3, 1.0 / math.sqrt(2.0), 0.9, 1.0])
+def test_tradeoff_cli_csv_matches_csv_module_oracle(tmp_path, capsys, c, grid, extended):
+    start, stop, count = grid.split(":")
+    want = _csv_module_oracle(closed_form_table(c, np.linspace(float(start), float(stop), int(count))), extended)
+    argv = ["tradeoff", "--c", repr(c), "--beta-grid", grid] + ["--extended"] * extended
+    assert cli.main(argv) == 0
+    assert _first_difference(capsys.readouterr().out, want) is None
+    path = tmp_path / "sweep.csv"
+    assert cli.main(argv + ["--out", str(path)]) == 0
+    assert _first_difference(path.read_bytes().decode("ascii"), want) is None

@@ -199,6 +199,17 @@ def test_optimal_repair_rejects_bad_probabilities():
         optimal_repair(0.0, 0.0, 0.3)
 
 
+def test_outcome_disturbances_sum_to_the_total_in_relative_terms():
+    # d_min = 2pq sin^2(delta) / (p + q + amp) has no cancellation at small
+    # beta; (p + q - amp) / 2 summed to 7.7% off at c = 0.1, beta = 1e-3 and
+    # to 0 at beta = 1e-4.  What is left is the acos in the deficit delta.
+    beta = np.logspace(-4.0, 0.0, 40, endpoint=False)
+    for c in (0.1, 0.5, 0.7, 0.9):
+        table = closed_form_table(c, beta)
+        rel = np.abs(table.outcome_disturbance.sum(axis=1) - table.disturbance) / table.disturbance
+        assert rel.max() <= 1e-6, (c, beta[np.argmax(rel)], rel.max())
+
+
 def test_closed_form_endpoints():
     for c in (0.37, 0.5):
         pt = closed_form_point(c, 0.0)
